@@ -466,23 +466,35 @@ mod tests {
     }
 
     /// run_design (now a thin wrapper over the ensemble runner) keeps
-    /// the exact pre-refactor per-job outputs.
+    /// the exact pre-refactor per-job outputs, in cell-major order, even
+    /// when jobs of very different lengths outnumber the workers — so
+    /// dynamic claiming changes which worker (and which pooled scratch)
+    /// runs which job from one call to the next.
     #[test]
     fn run_design_matches_per_job_fresh_builds() {
         let data = small_region();
         let design = StudyDesign {
             cells: vec![
-                CellConfig { cell: 0, days: 40, ..Default::default() },
-                CellConfig { cell: 1, days: 40, transmissibility: 0.3, ..Default::default() },
+                CellConfig { cell: 0, days: 10, ..Default::default() },
+                CellConfig { cell: 1, days: 90, transmissibility: 0.3, ..Default::default() },
+                CellConfig { cell: 2, days: 40, sh_start: 20, ..Default::default() },
             ],
-            replicates: 2,
+            replicates: 3,
         };
         let runs = run_design(&data, &design, 2, 7);
-        assert_eq!(runs.len(), 4);
+        let order: Vec<(u32, u32)> = runs.iter().map(|s| (s.cell, s.replicate)).collect();
+        let cell_major: Vec<(u32, u32)> =
+            (0..3).flat_map(|c| (0..design.replicates).map(move |r| (c, r))).collect();
+        assert_eq!(order, cell_major);
         for s in &runs {
             let cell = &design.cells[s.cell as usize];
             let fresh = run_cell(&data, cell, s.replicate, 2, false, 7);
-            assert_eq!(s.output, fresh.output, "cell {} rep {}", s.cell, s.replicate);
+            let at = format!("cell {} rep {}", s.cell, s.replicate);
+            assert_eq!(s.region, fresh.region, "{at}");
+            assert_eq!(s.output, fresh.output, "{at}");
+            assert_eq!(s.log_cum_symptomatic, fresh.log_cum_symptomatic, "{at}");
+            assert_eq!(s.daily_cases, fresh.daily_cases, "{at}");
+            assert_eq!(s.peak_memory_bytes, fresh.peak_memory_bytes, "{at}");
         }
     }
 
