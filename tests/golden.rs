@@ -1,0 +1,341 @@
+//! Golden digests: pinned FNV-1a hashes of engine and orchestrator
+//! output on fixed inputs.
+//!
+//! The A/B tests elsewhere compare two configurations of the same code
+//! against each other, so a change that moves both sides at once slips
+//! past them. These digests pin the bytes themselves:
+//!
+//! * **Engine** — `SimOutput` and `EngineStats` (transitions recorded)
+//!   for a sparse ring, a dense saturated random graph, and a network
+//!   driven by `SetHealth` interventions, each at 1, 4 and 13
+//!   partitions and at saturation thresholds θ ∈ {0, 0.75, 2.0}. The
+//!   output digest is one value per case (results never depend on the
+//!   partitioning or θ); the stats digest is pinned per configuration
+//!   because `edges_scanned` measures how much of the network the scan
+//!   visited.
+//! * **Orchestrator** — `events_jsonl()` and the journal for four
+//!   nights that cover every branch of the execute step: classic with
+//!   shedding, failover where the remote window fits, failover where
+//!   the remote cluster is lost and the home cluster sheds, and a night
+//!   whose second execute step meets an open remote-cluster breaker.
+//!
+//! On a mismatch the failure message lists every actual digest, so an
+//! intended output change is re-pinned from one run.
+
+use epiflow::core::CombinedWorkflow;
+use epiflow::epihiper::checkpoint::fnv1a;
+use epiflow::epihiper::disease::sir_model;
+use epiflow::epihiper::engine::{SimConfig, Simulation};
+use epiflow::epihiper::interventions::{
+    GenericIntervention, InterventionSet, Operation, Target, Trigger,
+};
+use epiflow::hpcsim::cluster::Site;
+use epiflow::hpcsim::slurm::NodeFailure;
+use epiflow::hpcsim::task::WorkloadSpec;
+use epiflow::orchestrator::{
+    BreakerConfig, DeadlinePolicy, EngineEvent, FailoverPolicy, FaultPlan, RetryPolicy, RunResult,
+    StepKind, StepSpec,
+};
+use epiflow::surveillance::{RegionRegistry, Scale};
+use epiflow::synthpop::network::ContactEdge;
+use epiflow::synthpop::{ActivityType, ContactNetwork};
+
+const PARTITIONS: [usize; 3] = [1, 4, 13];
+const THRESHOLDS: [f64; 3] = [0.0, 0.75, 2.0];
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+fn edge(u: u32, v: u32, ctx: ActivityType, duration: u16, weight: f32) -> ContactEdge {
+    let (u, v) = if u < v { (u, v) } else { (v, u) };
+    ContactEdge { u, v, start: 0, duration, ctx_u: ctx, ctx_v: ctx, weight }
+}
+
+/// Ring with long chords: a travelling wave over a mostly idle network.
+fn sparse_ring() -> ContactNetwork {
+    let n = 400u32;
+    let mut edges: Vec<ContactEdge> =
+        (0..n).map(|i| edge(i, (i + 1) % n, ActivityType::Home, 600, 1.0)).collect();
+    for i in (0..n).step_by(17) {
+        edges.push(edge(i, (i + n / 2) % n, ActivityType::Work, 300, 0.7));
+    }
+    ContactNetwork { n_nodes: n as usize, edges }
+}
+
+/// Random graph of mean degree ~`2 * per_node`.
+fn random_graph(n: u32, per_node: u32, seed: u64) -> ContactNetwork {
+    let mut st = seed;
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for _ in 0..per_node {
+            let v = (splitmix64(&mut st) % n as u64) as u32;
+            if v != u {
+                edges.push(edge(u, v, ActivityType::Work, 480, 1.0));
+            }
+        }
+    }
+    ContactNetwork { n_nodes: n as usize, edges }
+}
+
+struct EngineCase {
+    name: &'static str,
+    net: ContactNetwork,
+    beta: f64,
+    infectious_days: f64,
+    ticks: u32,
+    seed: u64,
+    initial_infections: usize,
+    interventions: fn() -> InterventionSet,
+    /// Digest of the serialized `SimOutput`, the same for every config.
+    output: u64,
+    /// Digests of the serialized `EngineStats`, `[partitions][θ]`.
+    stats: [[u64; 3]; 3],
+}
+
+fn no_interventions() -> InterventionSet {
+    InterventionSet::default()
+}
+
+/// Case importations at tick 5, then a quarter of the susceptibles
+/// moved straight to recovered at tick 12 (a vaccination what-if).
+/// Both go through `SetHealth`, forcing frontier rebuilds mid-run.
+fn set_health_interventions() -> InterventionSet {
+    let import = GenericIntervention::new(
+        "import",
+        Trigger::AtTick { tick: 5 },
+        Target::Node { node: 117 },
+        vec![Operation::SetHealth { to: 1 }],
+    );
+    let mut vaccinate = GenericIntervention::new(
+        "vaccinate",
+        Trigger::AtTick { tick: 12 },
+        Target::NodesInState { state: 0 },
+        vec![Operation::SetHealth { to: 2 }],
+    );
+    vaccinate.sample = 0.25;
+    InterventionSet::new().with(Box::new(import)).with(Box::new(vaccinate))
+}
+
+fn engine_cases() -> Vec<EngineCase> {
+    vec![
+        EngineCase {
+            name: "sparse_ring",
+            net: sparse_ring(),
+            beta: 2.5,
+            infectious_days: 5.0,
+            ticks: 80,
+            seed: 7,
+            initial_infections: 2,
+            interventions: no_interventions,
+            output: 0x8368c758b01405dc,
+            stats: [
+                [0xc055d8f1101aeab5, 0x40b3af7c076807c6, 0x40b3af7c076807c6],
+                [0xc055d8f1101aeab5, 0x40b3af7c076807c6, 0x40b3af7c076807c6],
+                [0xc055d8f1101aeab5, 0x40b3af7c076807c6, 0x40b3af7c076807c6],
+            ],
+        },
+        EngineCase {
+            name: "dense_saturated",
+            net: random_graph(600, 10, 0xD15EA5E),
+            beta: 0.05,
+            infectious_days: 90.0,
+            ticks: 40,
+            seed: 7,
+            initial_infections: 60,
+            interventions: no_interventions,
+            output: 0xe4ee764cda08d32b,
+            stats: [
+                [0x4e22df59faa4cfde, 0x4e22df59faa4cfde, 0x10f64f9a291b1dab],
+                [0x4e22df59faa4cfde, 0x4e22df59faa4cfde, 0x10f64f9a291b1dab],
+                [0x4e22df59faa4cfde, 0x4e22df59faa4cfde, 0x10f64f9a291b1dab],
+            ],
+        },
+        EngineCase {
+            name: "set_health",
+            net: random_graph(300, 4, 0x5E7),
+            beta: 0.6,
+            infectious_days: 6.0,
+            ticks: 50,
+            seed: 11,
+            initial_infections: 1,
+            interventions: set_health_interventions,
+            output: 0x1e6376f15e8526a7,
+            stats: [
+                [0x1d8a94faaaa2af6b, 0xf46500bf9775e8e3, 0x5549f04a58bf4dfa],
+                [0x1d8a94faaaa2af6b, 0xf46500bf9775e8e3, 0x5549f04a58bf4dfa],
+                [0x1d8a94faaaa2af6b, 0xf46500bf9775e8e3, 0x5549f04a58bf4dfa],
+            ],
+        },
+    ]
+}
+
+#[test]
+fn engine_digests_are_pinned() {
+    let mut report = String::new();
+    let mut ok = true;
+    for case in engine_cases() {
+        let n = case.net.n_nodes;
+        let mut stats = [[0u64; 3]; 3];
+        let mut outputs = Vec::new();
+        for (pi, &parts) in PARTITIONS.iter().enumerate() {
+            for (ti, &theta) in THRESHOLDS.iter().enumerate() {
+                let mut sim = Simulation::new(
+                    &case.net,
+                    sir_model(case.beta, case.infectious_days),
+                    vec![2; n],
+                    vec![0; n],
+                    (case.interventions)(),
+                    SimConfig {
+                        ticks: case.ticks,
+                        seed: case.seed,
+                        n_partitions: parts,
+                        initial_infections: case.initial_infections,
+                        record_transitions: true,
+                        saturation_threshold: theta,
+                        ..Default::default()
+                    },
+                );
+                let res = sim.run();
+                assert!(res.output.total_infections() > 0, "{}: no epidemic", case.name);
+                outputs.push(fnv1a(serde_json::to_string(&res.output).unwrap().as_bytes()));
+                stats[pi][ti] = fnv1a(serde_json::to_string(&res.stats).unwrap().as_bytes());
+            }
+        }
+        assert!(
+            outputs.iter().all(|&d| d == outputs[0]),
+            "{}: output depends on partitions or θ: {outputs:x?}",
+            case.name
+        );
+        ok &= outputs[0] == case.output && stats == case.stats;
+        let rows: Vec<String> = stats
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row.iter().map(|d| format!("0x{d:016x}")).collect();
+                format!("[{}]", cells.join(", "))
+            })
+            .collect();
+        report.push_str(&format!(
+            "{}: output: 0x{:016x}, stats: [{}]\n",
+            case.name,
+            outputs[0],
+            rows.join(", ")
+        ));
+    }
+    assert!(ok, "engine digests changed; actual:\n{report}");
+}
+
+fn remote_kill(workload: WorkloadSpec, failover: bool) -> CombinedWorkflow {
+    CombinedWorkflow {
+        workload,
+        faults: FaultPlan {
+            seed: 42,
+            node_failures: vec![NodeFailure { at_secs: 60.0, nodes: 720 }],
+            straggler_prob: 0.05,
+            straggler_factor: 3.0,
+            ..FaultPlan::default()
+        },
+        deadline: DeadlinePolicy { shed_cells: true },
+        failover: if failover { FailoverPolicy::on() } else { FailoverPolicy::default() },
+        ..Default::default()
+    }
+}
+
+fn small() -> WorkloadSpec {
+    WorkloadSpec { cells: 2, replicates: 2, ..WorkloadSpec::prediction() }
+}
+
+fn large() -> WorkloadSpec {
+    WorkloadSpec { cells: 16, replicates: 8, ..WorkloadSpec::prediction() }
+}
+
+fn failed_over(run: &RunResult) -> usize {
+    run.events.iter().filter(|e| matches!(e, EngineEvent::FailedOver { .. })).count()
+}
+
+/// Classic engine (no failover): a large night on a fifth of the
+/// remote machine must shed cells.
+fn classic_shed() -> RunResult {
+    let reg = RegionRegistry::new();
+    let mut wf = remote_kill(large(), false);
+    wf.faults.node_failures = vec![NodeFailure { at_secs: 60.0, nodes: 576 }];
+    let run = wf.engine(&reg, Scale::default()).run();
+    assert!(!run.report.dropped_cells.is_empty(), "classic night must shed");
+    run
+}
+
+/// Failover engine, a survivable node crash: the remote window fits
+/// and nothing moves home.
+fn failover_remote_fits() -> RunResult {
+    let reg = RegionRegistry::new();
+    let mut wf = remote_kill(small(), true);
+    wf.faults.node_failures = vec![NodeFailure { at_secs: 600.0, nodes: 100 }];
+    let run = wf.engine(&reg, Scale::default()).run();
+    assert_eq!(failed_over(&run), 0, "remote fits, no failover");
+    assert!(run.report.dropped_cells.is_empty());
+    run
+}
+
+/// Failover engine, total remote loss on a night too large for the
+/// home cluster: fail over, then shed at home.
+fn failover_home_sheds() -> RunResult {
+    let reg = RegionRegistry::new();
+    let run = remote_kill(large(), true).engine(&reg, Scale::default()).run();
+    assert_eq!(failed_over(&run), 1, "remote lost, failover to home");
+    assert!(!run.report.dropped_cells.is_empty(), "home cannot fit the whole night");
+    run
+}
+
+/// Failover engine with a hair-trigger remote breaker and a second
+/// execute step: the first execute loses the remote cluster and trips
+/// the breaker, so the second goes straight home without trying it.
+fn breaker_open() -> RunResult {
+    let reg = RegionRegistry::new();
+    let mut wf = remote_kill(small(), true);
+    wf.breaker = BreakerConfig { min_calls: 1, cooldown_secs: 1.0e9, ..Default::default() };
+    let mut engine = wf.engine(&reg, Scale::default());
+    let exec = engine
+        .dag
+        .steps
+        .iter()
+        .position(|s| s.kind == StepKind::SlurmExecute)
+        .expect("nightly DAG has an execute step");
+    engine.dag.add(StepSpec {
+        name: "Slurm re-run".into(),
+        site: Site::Remote,
+        automated: true,
+        kind: StepKind::SlurmExecute,
+        deps: vec![exec],
+        retry: RetryPolicy::none(),
+    });
+    let run = engine.run();
+    assert_eq!(failed_over(&run), 2, "both execute steps run at home");
+    run
+}
+
+/// A named night and its pinned `(events, journal)` digests.
+type Night = (&'static str, fn() -> RunResult, (u64, u64));
+
+#[test]
+fn orchestrator_digests_are_pinned() {
+    let nights: [Night; 4] = [
+        ("classic_shed", classic_shed, (0x6d95257759062d2f, 0xc112b445892cfbcb)),
+        ("failover_remote_fits", failover_remote_fits, (0xbfa77b9fcb8fbe88, 0xd2d653bf251de5f4)),
+        ("failover_home_sheds", failover_home_sheds, (0x349d4d018f89acd0, 0x6c3763b9b15dfa3d)),
+        ("breaker_open", breaker_open, (0xe1e96d7d2415a1c6, 0xfdd01077f60830bc)),
+    ];
+    let mut report = String::new();
+    let mut ok = true;
+    for (name, night, expected) in nights {
+        let run = night();
+        let actual =
+            (fnv1a(run.events_jsonl().as_bytes()), fnv1a(run.journal.to_jsonl().as_bytes()));
+        ok &= actual == expected;
+        report.push_str(&format!("{name}: (0x{:016x}, 0x{:016x})\n", actual.0, actual.1));
+    }
+    assert!(ok, "orchestrator digests changed; actual (events, journal):\n{report}");
+}
