@@ -2,7 +2,7 @@
 //! (the measured substrate under Fig. 7 top).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use epiflow_bench::{region, run_covid, run_covid_mode};
+use epiflow_bench::{covid_sim, region, run_covid};
 use epiflow_epihiper::InterventionSet;
 use epiflow_surveillance::RegionRegistry;
 
@@ -41,17 +41,22 @@ fn bench_ticks(c: &mut Criterion) {
     group.finish();
 }
 
-/// Frontier vs reference scan on the same region: the A/B pair behind
-/// `BENCH_engine.json` (see `repro_bench_engine` for the synthetic
-/// envelope cases).
+/// The saturation-threshold sweep on one region: θ = 0 sweeps every
+/// partition every tick, the default 0.75 switches per partition, and
+/// θ = 2 never sweeps (see `repro_bench_engine` for the synthetic
+/// envelope cases behind `BENCH_engine.json`).
 fn bench_scan_modes(c: &mut Criterion) {
     let reg = RegionRegistry::new();
     let data = region(&reg, "VA", 2000.0);
     let mut group = c.benchmark_group("epihiper_scan_mode");
     group.sample_size(10);
-    for (name, reference) in [("frontier", false), ("reference", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &reference, |b, &r| {
-            b.iter(|| run_covid_mode(&data, InterventionSet::new(), 60, 4, 1, r));
+    for theta in [0.0, 0.75, 2.0] {
+        group.bench_with_input(BenchmarkId::from_parameter(theta), &theta, |b, &theta| {
+            b.iter(|| {
+                let mut sim = covid_sim(&data, InterventionSet::new(), 60, 4, 1);
+                sim.config.saturation_threshold = theta;
+                sim.run()
+            });
         });
     }
     group.finish();

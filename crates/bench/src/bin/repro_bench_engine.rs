@@ -1,28 +1,38 @@
-//! Engine scan-mode benchmark — frontier vs reference, machine-readable.
+//! Engine scan benchmark — frontier switch vs full sweep,
+//! machine-readable.
 //!
 //! Runs the EpiHiper core on two synthetic networks that bracket the
-//! frontier scan's operating envelope and emits `BENCH_engine.json`:
+//! frontier scan's operating envelope and emits `BENCH_engine.json`.
+//! Each case runs at two saturation thresholds: the default θ = 0.75
+//! (`frontier`: a partition merges its due list with its frontier
+//! slice, and sweeps its whole range only once ¾ of it is on the
+//! frontier) and θ = 0 (`full_sweep`: every partition sweeps its whole
+//! range every tick, paying the λ pass for every susceptible node).
 //!
 //! * **sparse** — a large ring-with-chords network where the epidemic
 //!   is a travelling wave, so the active frontier is a sliver of the
 //!   node set. This is the case the frontier scan exists for; the
-//!   acceptance target is a ≥3× speedup over the reference scan.
+//!   acceptance target is a ≥3× median speedup over the full sweep.
 //! * **dense** — a heavily-seeded random graph with a long infectious
 //!   period, holding nearly every susceptible node on the frontier for
 //!   the whole run. This is the worst case for the frontier
-//!   bookkeeping; the acceptance target is ≤5% regression.
+//!   bookkeeping; the acceptance target is a median within 5% of the
+//!   full sweep.
 //!
-//! Both cases first run with transition recording on in both scan
-//! modes and assert the outputs are byte-identical (the engine's
-//! headline invariant), then time each mode over several repetitions
-//! and report nodes/s, edges/s, per-tick frontier occupancy, and the
-//! speedup. The JSON is validated by re-parsing before it is written.
+//! Both cases first run with transition recording on at both
+//! thresholds and assert the outputs are byte-identical (the engine's
+//! headline invariant), then time the two thresholds over interleaved
+//! repetitions (so machine-load noise lands on both alike) and report
+//! the min and median wall time, nodes/s, edges/s, per-tick frontier
+//! occupancy, and the median speedup, together with the host's core
+//! count, the threads used and the git commit. The JSON is validated
+//! by re-parsing before it is written.
 //!
 //! `--smoke` shrinks both networks and skips the performance
 //! assertions so CI can verify the harness end-to-end in seconds.
 
 use epiflow_epihiper::disease::sir_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, SimResult, Simulation};
+use epiflow_epihiper::{EngineStats, InterventionSet, SimConfig, SimResult, Simulation};
 use epiflow_synthpop::network::ContactEdge;
 use epiflow_synthpop::{ActivityType, ContactNetwork};
 use serde::{Number, Value};
@@ -53,7 +63,7 @@ fn edge(u: u32, v: u32) -> ContactEdge {
 /// Ring of `n` nodes, each linked to its next 4 neighbors, plus a
 /// sprinkle of long-range chords (~0.5% of nodes). An epidemic seeded
 /// at a few points travels as a narrow wave: frontier occupancy stays
-/// tiny while the reference scan keeps paying for the whole ring.
+/// tiny while the full sweep keeps paying for the whole ring.
 fn sparse_ring(n: u32) -> ContactNetwork {
     let mut edges = Vec::with_capacity(n as usize * 4 + n as usize / 200);
     for u in 0..n {
@@ -74,7 +84,8 @@ fn sparse_ring(n: u32) -> ContactNetwork {
 
 /// Random graph with mean degree ~20. Combined with heavy seeding and
 /// a long infectious period this keeps the frontier near-full, so the
-/// frontier scan does all the reference work *plus* its bookkeeping.
+/// default threshold sweeps nearly every partition every tick, exactly
+/// as θ = 0 does.
 fn dense_random(n: u32) -> ContactNetwork {
     let mut st = 0xD15EA5E_u64;
     let mut edges = Vec::with_capacity(n as usize * 10);
@@ -89,6 +100,11 @@ fn dense_random(n: u32) -> ContactNetwork {
     ContactNetwork { n_nodes: n as usize, edges }
 }
 
+/// The two thresholds compared: `(JSON key, θ)`.
+const FRONTIER: (&str, f64) = ("frontier", 0.75);
+const FULL_SWEEP: (&str, f64) = ("full_sweep", 0.0);
+const N_PARTITIONS: usize = 4;
+
 struct Case {
     name: &'static str,
     net: ContactNetwork,
@@ -98,7 +114,7 @@ struct Case {
     initial_infections: usize,
 }
 
-fn simulate(case: &Case, reference_scan: bool, record_transitions: bool) -> SimResult {
+fn simulate(case: &Case, saturation_threshold: f64, record_transitions: bool) -> SimResult {
     let n = case.net.n_nodes;
     let mut sim = Simulation::new(
         &case.net,
@@ -109,52 +125,74 @@ fn simulate(case: &Case, reference_scan: bool, record_transitions: bool) -> SimR
         SimConfig {
             ticks: case.ticks,
             seed: 7,
-            n_partitions: 4,
+            n_partitions: N_PARTITIONS,
             epsilon: 16,
             initial_infections: case.initial_infections,
             record_transitions,
-            reference_scan,
-            ..Default::default()
+            saturation_threshold,
         },
     );
     sim.run()
 }
 
-/// Best-of-`reps` wall time for both scan modes, interleaved so that
-/// machine-load noise lands on both modes alike. Returns
-/// `(frontier, reference)` with the telemetry of each mode's fastest
-/// run.
-fn time_modes(case: &Case, reps: usize) -> (SimResult, SimResult) {
-    let mut best_fr: Option<SimResult> = None;
-    let mut best_rf: Option<SimResult> = None;
-    for _ in 0..reps {
-        let fr = simulate(case, false, false);
-        if best_fr.as_ref().is_none_or(|b| fr.elapsed < b.elapsed) {
-            best_fr = Some(fr);
-        }
-        let rf = simulate(case, true, false);
-        if best_rf.as_ref().is_none_or(|b| rf.elapsed < b.elapsed) {
-            best_rf = Some(rf);
-        }
-    }
-    (best_fr.expect("reps >= 1"), best_rf.expect("reps >= 1"))
+/// Wall times of one threshold over the repetitions, plus the
+/// telemetry of the last run (identical across repetitions).
+#[derive(Default)]
+struct Timings {
+    secs: Vec<f64>,
+    stats: EngineStats,
+    ticks_run: u32,
 }
 
-fn mode_value(case: &Case, r: &SimResult) -> Value {
-    let secs = r.elapsed.as_secs_f64().max(1e-9);
-    let node_ticks = case.net.n_nodes as u64 * r.ticks_run as u64;
+impl Timings {
+    fn record(&mut self, r: SimResult) {
+        self.secs.push(r.elapsed.as_secs_f64());
+        self.stats = r.stats;
+        self.ticks_run = r.ticks_run;
+    }
+
+    fn min(&self) -> f64 {
+        self.secs.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    fn median(&self) -> f64 {
+        let mut v = self.secs.clone();
+        v.sort_by(f64::total_cmp);
+        let m = v.len() / 2;
+        if v.len().is_multiple_of(2) {
+            (v[m - 1] + v[m]) / 2.0
+        } else {
+            v[m]
+        }
+    }
+}
+
+/// `reps` runs of each threshold, interleaved. Returns `(frontier,
+/// full_sweep)`.
+fn time_modes(case: &Case, reps: usize) -> (Timings, Timings) {
+    let (mut fr, mut sw) = (Timings::default(), Timings::default());
+    for _ in 0..reps {
+        fr.record(simulate(case, FRONTIER.1, false));
+        sw.record(simulate(case, FULL_SWEEP.1, false));
+    }
+    (fr, sw)
+}
+
+fn mode_value(case: &Case, theta: f64, t: &Timings) -> Value {
+    let median = t.median().max(1e-9);
+    let node_ticks = case.net.n_nodes as u64 * t.ticks_run as u64;
+    let edges = t.stats.total_edges_scanned();
     Value::Map(vec![
-        ("elapsed_secs".into(), Value::Num(Number::F(secs))),
-        ("nodes_per_sec".into(), Value::Num(Number::F(node_ticks as f64 / secs))),
-        ("edges_scanned".into(), Value::Num(Number::U(r.stats.total_edges_scanned()))),
-        (
-            "edges_per_sec".into(),
-            Value::Num(Number::F(r.stats.total_edges_scanned() as f64 / secs)),
-        ),
+        ("theta".into(), Value::Num(Number::F(theta))),
+        ("min_secs".into(), Value::Num(Number::F(t.min()))),
+        ("median_secs".into(), Value::Num(Number::F(median))),
+        ("nodes_per_sec".into(), Value::Num(Number::F(node_ticks as f64 / median))),
+        ("edges_scanned".into(), Value::Num(Number::U(edges))),
+        ("edges_per_sec".into(), Value::Num(Number::F(edges as f64 / median))),
     ])
 }
 
-fn run_case(case: &Case, reps: usize) -> (Value, f64, bool) {
+fn run_case(case: &Case, reps: usize) -> (Value, f64) {
     println!(
         "--- {} : {} nodes, {} edges, {} ticks ---",
         case.name,
@@ -163,25 +201,26 @@ fn run_case(case: &Case, reps: usize) -> (Value, f64, bool) {
         case.ticks
     );
 
-    // Equivalence check: both modes with the full transition log.
-    let fr_chk = simulate(case, false, true);
-    let rf_chk = simulate(case, true, true);
-    let identical = fr_chk.output.transitions == rf_chk.output.transitions
-        && fr_chk.output.new_counts == rf_chk.output.new_counts
-        && fr_chk.output.current_counts == rf_chk.output.current_counts;
-    assert!(identical, "{}: frontier and reference outputs diverge", case.name);
+    // Equivalence check: both thresholds with the full transition log.
+    let fr_chk = simulate(case, FRONTIER.1, true);
+    let sw_chk = simulate(case, FULL_SWEEP.1, true);
+    let identical = fr_chk.output == sw_chk.output;
+    assert!(identical, "{}: frontier and full-sweep outputs diverge", case.name);
     println!(
-        "  outputs identical across scan modes ({} transitions)",
+        "  outputs identical across thresholds ({} transitions)",
         fr_chk.output.transitions.len()
     );
 
-    let (frontier, reference) = time_modes(case, reps);
-    let speedup = reference.elapsed.as_secs_f64() / frontier.elapsed.as_secs_f64().max(1e-9);
+    let (frontier, sweep) = time_modes(case, reps);
+    let speedup = sweep.median() / frontier.median().max(1e-9);
     let occupancy = frontier.stats.mean_frontier_occupancy(case.net.n_nodes);
     println!(
-        "  frontier {:.3}s  reference {:.3}s  speedup {:.2}x  mean occupancy {:.1}%",
-        frontier.elapsed.as_secs_f64(),
-        reference.elapsed.as_secs_f64(),
+        "  median (min) of {reps}: frontier {:.4}s ({:.4}s)  full sweep {:.4}s ({:.4}s)  \
+         speedup {:.2}x  mean occupancy {:.1}%",
+        frontier.median(),
+        frontier.min(),
+        sweep.median(),
+        sweep.min(),
         speedup,
         occupancy * 100.0
     );
@@ -199,21 +238,40 @@ fn run_case(case: &Case, reps: usize) -> (Value, f64, bool) {
         ("ticks".into(), Value::Num(Number::U(case.ticks as u64))),
         ("outputs_identical".into(), Value::Bool(identical)),
         ("total_infected".into(), Value::Num(Number::U(fr_chk.output.total_infections() as u64))),
-        ("frontier".into(), mode_value(case, &frontier)),
-        ("reference".into(), mode_value(case, &reference)),
-        ("speedup".into(), Value::Num(Number::F(speedup))),
+        (FRONTIER.0.into(), mode_value(case, FRONTIER.1, &frontier)),
+        (FULL_SWEEP.0.into(), mode_value(case, FULL_SWEEP.1, &sweep)),
+        ("median_speedup".into(), Value::Num(Number::F(speedup))),
         ("mean_frontier_occupancy".into(), Value::Num(Number::F(occupancy))),
         ("frontier_occupancy_by_tick".into(), Value::Seq(occ_by_tick)),
     ]);
-    (v, speedup, identical)
+    (v, speedup)
+}
+
+/// The commit being measured: `git rev-parse HEAD`, else `GIT_COMMIT`
+/// from the environment, else "unknown".
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .or_else(|| std::env::var("GIT_COMMIT").ok())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (sparse_n, dense_n, reps) = if smoke { (2_000, 1_000, 1) } else { (120_000, 20_000, 5) };
+    let (sparse_n, dense_n, reps) = if smoke { (2_000, 1_000, 1) } else { (120_000, 20_000, 11) };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    println!("=== Engine scan-mode benchmark (frontier vs reference) ===");
-    println!("mode: {}\n", if smoke { "smoke" } else { "full" });
+    println!("=== Engine scan benchmark (θ = 0.75 vs θ = 0 full sweep) ===");
+    println!(
+        "mode: {}  cores: {cores}  threads used: {}\n",
+        if smoke { "smoke" } else { "full" },
+        cores.min(N_PARTITIONS)
+    );
 
     let sparse = Case {
         name: "sparse_wave",
@@ -232,13 +290,17 @@ fn main() {
         initial_infections: dense_n as usize / 10,
     };
 
-    let (sparse_v, sparse_speedup, _) = run_case(&sparse, reps);
-    let (dense_v, dense_speedup, _) = run_case(&dense, reps);
+    let (sparse_v, sparse_speedup) = run_case(&sparse, reps);
+    let (dense_v, dense_speedup) = run_case(&dense, reps);
 
     let doc = Value::Map(vec![
-        ("benchmark".into(), Value::Str("engine_scan_mode".into())),
+        ("benchmark".into(), Value::Str("engine_scan_threshold".into())),
         ("smoke".into(), Value::Bool(smoke)),
-        ("n_partitions".into(), Value::Num(Number::U(4))),
+        ("git_commit".into(), Value::Str(git_commit())),
+        ("cores".into(), Value::Num(Number::U(cores as u64))),
+        ("threads_used".into(), Value::Num(Number::U(cores.min(N_PARTITIONS) as u64))),
+        ("n_partitions".into(), Value::Num(Number::U(N_PARTITIONS as u64))),
+        ("repetitions".into(), Value::Num(Number::U(reps as u64))),
         ("sparse".into(), sparse_v),
         ("dense".into(), dense_v),
     ]);
@@ -246,7 +308,7 @@ fn main() {
     let json = serde_json::to_string_pretty(&doc).expect("serialize benchmark report");
     // Round-trip before writing: the artifact must stay machine-readable.
     let parsed = serde_json::parse_value(&json).expect("re-parse benchmark JSON");
-    for key in ["benchmark", "sparse", "dense"] {
+    for key in ["benchmark", "git_commit", "sparse", "dense"] {
         assert!(
             matches!(&parsed, Value::Map(m) if m.iter().any(|(k, _)| k == key)),
             "benchmark JSON missing key `{key}`"
@@ -258,11 +320,11 @@ fn main() {
     if !smoke {
         assert!(
             sparse_speedup >= 3.0,
-            "sparse frontier speedup {sparse_speedup:.2}x below the 3x target"
+            "sparse median speedup {sparse_speedup:.2}x below the 3x target"
         );
         assert!(
             dense_speedup >= 0.95,
-            "dense worst case regressed {:.1}% (>5% budget)",
+            "dense worst case regressed {:.1}% in the median (>5% budget)",
             (1.0 / dense_speedup - 1.0) * 100.0
         );
         println!("targets met: sparse {sparse_speedup:.2}x >= 3x, dense within 5% budget");

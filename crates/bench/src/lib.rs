@@ -19,9 +19,7 @@ pub fn region(registry: &RegionRegistry, abbrev: &str, per: f64) -> RegionData {
 }
 
 /// Run a COVID-19 simulation on a region with the given interventions
-/// and tick/partition settings. Transmissibility is raised to 0.35 so
-/// scaled-down networks still produce brisk epidemics (sparser networks
-/// need a higher per-contact rate for the same R).
+/// and tick/partition settings (see [`covid_sim`]).
 pub fn run_covid(
     data: &RegionData,
     interventions: InterventionSet,
@@ -29,19 +27,20 @@ pub fn run_covid(
     n_partitions: usize,
     seed: u64,
 ) -> SimResult {
-    run_covid_mode(data, interventions, ticks, n_partitions, seed, false)
+    covid_sim(data, interventions, ticks, n_partitions, seed).run()
 }
 
-/// [`run_covid`] with an explicit scan-mode switch: `reference_scan =
-/// true` runs the pre-frontier full-range scan for A/B benchmarking.
-pub fn run_covid_mode(
+/// Build, without running, the COVID-19 simulation [`run_covid`] runs.
+/// Transmissibility is raised to 0.35 so scaled-down networks still
+/// produce brisk epidemics (sparser networks need a higher per-contact
+/// rate for the same R).
+pub fn covid_sim(
     data: &RegionData,
     interventions: InterventionSet,
     ticks: u32,
     n_partitions: usize,
     seed: u64,
-    reference_scan: bool,
-) -> SimResult {
+) -> Simulation {
     let n = data.population.len();
     let age: Vec<u8> =
         data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
@@ -59,12 +58,11 @@ pub fn run_covid_mode(
             epsilon: 16,
             initial_infections: (n / 400).max(5),
             record_transitions: false,
-            reference_scan,
             ..Default::default()
         },
     );
     sim.model.transmissibility = 0.35;
-    sim.run()
+    sim
 }
 
 /// Format a byte count human-readably.

@@ -37,4 +37,4 @@ pub use combined::{CombinedReport, CombinedWorkflow, TimelineEvent};
 pub use counterfactual::{CounterfactualWorkflow, ScenarioCost};
 pub use design::{CellConfig, ExtraIntervention, FactorialDesign, StudyDesign};
 pub use prediction::{PredictionResult, PredictionWorkflow};
-pub use runner::{run_cell, run_design, CellRunSummary, EnsembleRunner};
+pub use runner::{run_cell, CellRunSummary, EnsembleRunner};

@@ -7,8 +7,8 @@
 //! partitioning, per-node attributes — and fanning the cells×replicates
 //! grid out over rayon with one pooled [`SimScratch`] per worker, so
 //! per-replicate cost is the tick loop and nothing else. The
-//! free-standing [`run_cell`] keeps the fresh-build path (one context
-//! per call); both paths are byte-identical for the same seeds.
+//! free-standing [`run_cell`] is a one-off runner (one context per
+//! call); results are byte-identical for the same seeds either way.
 
 use crate::design::{CellConfig, ExtraIntervention, StudyDesign};
 use epiflow_epihiper::covid::{covid19_model, states};
@@ -129,8 +129,7 @@ fn derive_attributes(data: &RegionData) -> (Vec<u8>, Vec<u16>) {
     (age_group, county)
 }
 
-/// The per-replicate [`SimConfig`], shared by the fresh-build and
-/// shared-context paths so their seeds and knobs can never drift.
+/// The per-replicate [`SimConfig`] of one ⟨cell, replicate⟩ run.
 fn cell_sim_config(
     cell: &CellConfig,
     seed: u64,
@@ -181,10 +180,10 @@ fn summarize(
     }
 }
 
-/// Run one ⟨cell, region, replicate⟩ simulation, building the network
-/// from scratch — the reference path. Ensemble traffic should go
-/// through [`EnsembleRunner`], which amortizes the network build across
-/// replicates and produces byte-identical results.
+/// Run one ⟨cell, region, replicate⟩ simulation on a context built for
+/// this run alone. Ensemble traffic should build one [`EnsembleRunner`]
+/// and run every replicate against it, which amortizes the network
+/// build and produces byte-identical results.
 pub fn run_cell(
     data: &RegionData,
     cell: &CellConfig,
@@ -193,21 +192,7 @@ pub fn run_cell(
     record_transitions: bool,
     base_seed: u64,
 ) -> CellRunSummary {
-    let model = configure_model(cell);
-    let interventions = configure_interventions(cell);
-    let (age_group, county) = derive_attributes(data);
-
-    let seed = replicate_seed(base_seed, data.region, cell.cell, replicate);
-    let mut sim = Simulation::new(
-        &data.network,
-        model,
-        age_group,
-        county,
-        interventions,
-        cell_sim_config(cell, seed, n_partitions, record_transitions),
-    );
-    let result = sim.run();
-    summarize(data.region, cell, replicate, result)
+    EnsembleRunner::new(data, n_partitions).run_cell(cell, replicate, record_transitions, base_seed)
 }
 
 /// Executes the simulations of one region's nightly design against a
@@ -218,9 +203,9 @@ pub fn run_cell(
 /// after that only allocates the per-replicate mutable state, and
 /// [`EnsembleRunner::run_design`] additionally pools one [`SimScratch`]
 /// per rayon worker so steady-state replicates reuse event buffers and
-/// output rows across runs. All of it is byte-identical to the
-/// fresh-build [`run_cell`] for the same seeds — the context and the
-/// scratch carry no state that can influence results.
+/// output rows across runs. All of it is byte-identical to a run on a
+/// fresh context and scratch ([`run_cell`]) for the same seeds — the
+/// context and the scratch carry no state that can influence results.
 pub struct EnsembleRunner {
     region: RegionId,
     n_partitions: usize,
@@ -312,17 +297,6 @@ impl EnsembleRunner {
             })
             .collect()
     }
-}
-
-/// Run a full design on one region, parallel over ⟨cell, replicate⟩ —
-/// one shared context for the whole grid.
-pub fn run_design(
-    data: &RegionData,
-    design: &StudyDesign,
-    n_partitions: usize,
-    base_seed: u64,
-) -> Vec<CellRunSummary> {
-    EnsembleRunner::new(data, n_partitions).run_design(design, base_seed)
 }
 
 #[cfg(test)]
@@ -425,7 +399,7 @@ mod tests {
             ],
             replicates: 3,
         };
-        let runs = run_design(&data, &design, 2, 1);
+        let runs = EnsembleRunner::new(&data, 2).run_design(&design, 1);
         assert_eq!(runs.len(), 6);
         // Every (cell, replicate) pair present.
         for c in 0..2u32 {
@@ -437,7 +411,7 @@ mod tests {
 
     /// The headline ensemble invariant at the workflow layer: a shared
     /// context (with pooled scratch carried across replicates) produces
-    /// byte-identical output to the fresh-build path on every
+    /// byte-identical output to a one-off context and scratch on every
     /// ⟨cell, replicate⟩ — aggregates *and* transition logs.
     #[test]
     fn ensemble_runner_byte_identical_to_fresh_build() {
@@ -465,8 +439,8 @@ mod tests {
         }
     }
 
-    /// run_design (now a thin wrapper over the ensemble runner) keeps
-    /// the exact pre-refactor per-job outputs, in cell-major order, even
+    /// run_design keeps the exact per-job outputs of single fresh runs,
+    /// in cell-major order, even
     /// when jobs of very different lengths outnumber the workers — so
     /// dynamic claiming changes which worker (and which pooled scratch)
     /// runs which job from one call to the next.
@@ -481,7 +455,7 @@ mod tests {
             ],
             replicates: 3,
         };
-        let runs = run_design(&data, &design, 2, 7);
+        let runs = EnsembleRunner::new(&data, 2).run_design(&design, 7);
         let order: Vec<(u32, u32)> = runs.iter().map(|s| (s.cell, s.replicate)).collect();
         let cell_major: Vec<(u32, u32)> =
             (0..3).flat_map(|c| (0..design.replicates).map(move |r| (c, r))).collect();

@@ -234,7 +234,7 @@ impl Iterator for ActiveRangeIter<'_> {
 ///
 /// Push order is whatever order the apply phase runs in; the drain
 /// sorts and dedups so the scan emits events in node order, matching
-/// the reference full-range sweep byte for byte.
+/// a full-range sweep of the partition byte for byte.
 #[derive(Clone, Debug, Default)]
 pub struct TickBuckets {
     parts: Vec<HashMap<u32, Vec<u32>>>,

@@ -75,10 +75,11 @@ impl MpiCostModel {
         self
     }
 
-    /// Calibrate `per_edge_secs` from a frontier-mode run, where the
-    /// engine reports exactly how many in-edges its λ pass examined
+    /// Calibrate `per_edge_secs` from a measured run, where the engine
+    /// reports exactly how many in-edges its λ pass examined
     /// (`EngineStats::total_edges_scanned`) instead of assuming the
-    /// full `directed_edges × ticks` sweep the reference scan pays.
+    /// full `directed_edges × ticks` sweep a `saturation_threshold = 0`
+    /// run pays.
     pub fn calibrate_per_edge_scanned(mut self, measured_secs: f64, edges_scanned: u64) -> Self {
         assert!(edges_scanned > 0);
         self.per_edge_secs = measured_secs / edges_scanned as f64;

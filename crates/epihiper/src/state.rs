@@ -112,8 +112,8 @@ impl SimState {
     /// the engine knows to rebuild its infectious-neighbor counts and
     /// occupancy before the next scan. Scheduled progressions
     /// (`exit_tick`/`next_state`) are intentionally untouched: they
-    /// fire regardless of the current health state, exactly as the
-    /// reference scan does.
+    /// fire regardless of the current health state, in either scan
+    /// order.
     pub fn set_health(&mut self, node: u32, to: StateId) {
         let slot = &mut self.health[node as usize];
         if *slot != to {

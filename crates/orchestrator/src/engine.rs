@@ -16,7 +16,7 @@ use crate::step::{BytesSpec, Dag, StepId, StepKind, StepSpec};
 use epiflow_hpcsim::cluster::{ClusterSpec, Site};
 use epiflow_hpcsim::globus::{GlobusLink, Transfer};
 use epiflow_hpcsim::schedule::{pack, PackAlgo};
-use epiflow_hpcsim::slurm::{CheckpointPolicy, SlurmSim, SlurmStats};
+use epiflow_hpcsim::slurm::{CheckpointPolicy, NodeFailure, SlurmSim, SlurmStats};
 use epiflow_hpcsim::task::Task;
 use epiflow_hpcsim::PopulationDb;
 use serde::{Deserialize, Serialize};
@@ -362,6 +362,17 @@ struct CycleState {
     exec_site: Option<Site>,
 }
 
+/// What one pack → Slurm → shed loop delivered
+/// ([`Engine::execute_on`]).
+struct Execution {
+    stats: SlurmStats,
+    /// The tasks that were submitted (the input minus shed cells).
+    kept: Vec<Task>,
+    dropped: Vec<DroppedCell>,
+    /// Whether the last run fit the window.
+    fits: bool,
+}
+
 /// One successful attempt.
 struct AttemptOk {
     duration_secs: f64,
@@ -603,9 +614,7 @@ impl Engine {
         let within_window = failed_steps.is_empty()
             && blocked_steps.is_empty()
             && match &state.slurm {
-                Some(s) => {
-                    s.unstarted == 0 && state.db_secs + s.makespan_secs + state.agg_secs <= window
-                }
+                Some(s) => fits_window(state.db_secs, s, state.agg_secs, window),
                 None => true,
             };
         // Resilience tallies come from the journal, not the event
@@ -735,13 +744,7 @@ impl Engine {
                     label: None,
                 })
             }
-            StepKind::SlurmExecute => {
-                if self.failover.enabled {
-                    Ok(self.exec_slurm_failover(attempt_start, state, breakers, ctx))
-                } else {
-                    Ok(self.exec_slurm(state))
-                }
-            }
+            StepKind::SlurmExecute => Ok(self.exec_slurm(attempt_start, state, breakers, ctx)),
             StepKind::Collect => {
                 // Aggregation runs where the outputs are; after an
                 // execute failover that is the home cluster (classic
@@ -756,7 +759,7 @@ impl Engine {
                     _ => self.env.remote.nodes,
                 };
                 let busy = state.slurm.as_ref().map(|s| s.busy_node_secs).unwrap_or(0.0);
-                let agg = (busy * 0.02 / nodes as f64).max(60.0);
+                let agg = aggregation_secs(busy, nodes);
                 Ok(AttemptOk {
                     duration_secs: agg,
                     effect: StepEffect::Collect { agg_secs: agg },
@@ -980,92 +983,96 @@ impl Engine {
         tasks
     }
 
-    /// Pack + execute under Slurm, with straggler and node-failure
-    /// faults and the deadline-degradation loop.
-    fn exec_slurm(&self, state: &CycleState) -> AttemptOk {
+    /// One pack → Slurm → shed loop on `cluster`: pack `tasks`, run
+    /// them under Slurm with `node_failures`, and test whether the night
+    /// fits the remote window after `spent_secs` of earlier work plus
+    /// the projected aggregation. A miss with `shed` set drops the
+    /// lowest-priority (highest-index) remaining cell and tries again;
+    /// without it the first run is final.
+    fn execute_on(
+        &self,
+        cluster: &ClusterSpec,
+        tasks: Vec<Task>,
+        node_failures: &[NodeFailure],
+        spent_secs: f64,
+        shed: bool,
+        db_bounds: &HashMap<usize, usize>,
+    ) -> Execution {
         let default_bound = self.env.db_max_connections / self.env.conns_per_task.max(1);
-        let bound_of = |r: usize| state.db_bounds.get(&r).copied().unwrap_or(default_bound).max(1);
+        let bound_of = |r: usize| db_bounds.get(&r).copied().unwrap_or(default_bound).max(1);
         let window = self.env.remote.window_secs() as f64;
-
-        let mut kept: Vec<Task> = self.night_tasks();
+        let mut kept = tasks;
         let mut dropped: Vec<DroppedCell> = Vec::new();
-        let (stats, agg) = loop {
-            let plan = pack(&kept, self.env.remote.nodes, bound_of, self.env.algo);
+        loop {
+            let plan = pack(&kept, cluster.nodes, bound_of, self.env.algo);
             let order: Vec<usize> =
                 plan.levels.iter().flat_map(|l| l.tasks.iter().copied()).collect();
-            let stats = self.slurm_sim(self.env.remote.clone()).run_with_faults(
+            let stats = self.slurm_sim(cluster.clone()).run_with_faults(
                 &kept,
                 &order,
                 bound_of,
-                &self.faults.node_failures,
+                node_failures,
             );
-            let agg = (stats.busy_node_secs * 0.02 / self.env.remote.nodes as f64).max(60.0);
-            let fits = stats.unstarted == 0 && state.db_secs + stats.makespan_secs + agg <= window;
-            if fits || !self.deadline.shed_cells {
-                break (stats, agg);
-            }
-            // Shed the lowest-priority (highest-index) remaining cell.
-            let Some(shed) = kept.iter().map(|t| t.cell).max() else {
-                break (stats, agg);
+            let agg = aggregation_secs(stats.busy_node_secs, cluster.nodes);
+            let fits = fits_window(spent_secs, &stats, agg, window);
+            let next_shed = kept.iter().map(|t| t.cell).max().filter(|_| shed && !fits);
+            let Some(cell) = next_shed else {
+                return Execution { stats, kept, dropped, fits };
             };
             let n_before = kept.len();
-            kept.retain(|t| t.cell != shed);
-            dropped.push(DroppedCell { cell: shed, tasks: n_before - kept.len() });
-        };
-        let _ = agg; // projected aggregation; the Collect step recomputes it
-
-        self.finish_slurm(stats, &kept, dropped, Site::Remote, 0.0)
+            kept.retain(|t| t.cell != cell);
+            dropped.push(DroppedCell { cell, tasks: n_before - kept.len() });
+        }
     }
 
-    /// Breaker-aware execute step. Tries the remote window first (when
-    /// its breaker admits), and instead of shedding cells on a miss,
-    /// re-plans the whole night onto the home cluster at failover
-    /// slowdown — shedding there only as a last resort.
-    fn exec_slurm_failover(
+    /// The execute step. Classic mode runs the night on the remote
+    /// cluster, shedding cells on a window miss. With failover on it
+    /// tries the remote window first (when its breaker admits), and
+    /// instead of shedding on a miss, re-plans the whole night onto the
+    /// home cluster at failover slowdown — shedding there only as a
+    /// last resort.
+    fn exec_slurm(
         &self,
         step_start: f64,
         state: &CycleState,
         breakers: &mut BreakerSet,
         ctx: &mut StepCtx,
     ) -> AttemptOk {
-        let default_bound = self.env.db_max_connections / self.env.conns_per_task.max(1);
-        let bound_of = |r: usize| state.db_bounds.get(&r).copied().unwrap_or(default_bound).max(1);
-        let window = self.env.remote.window_secs() as f64;
-        let base = self.night_tasks();
+        let remote = &self.env.remote;
+        let failures = &self.faults.node_failures;
+        let shed = self.deadline.shed_cells;
+        let mut tasks = self.night_tasks();
+        if !self.failover.enabled {
+            let run =
+                self.execute_on(remote, tasks, failures, state.db_secs, shed, &state.db_bounds);
+            return self.finish_slurm(run, Site::Remote, 0.0);
+        }
 
         // Detection latency charged to a failover after a mid-window
         // loss: the operator notices at the first node failure.
         let mut wasted = 0.0f64;
         if breakers.get(Resource::RemoteCluster).admits(step_start) {
-            let plan = pack(&base, self.env.remote.nodes, bound_of, self.env.algo);
-            let order: Vec<usize> =
-                plan.levels.iter().flat_map(|l| l.tasks.iter().copied()).collect();
-            let stats = self.slurm_sim(self.env.remote.clone()).run_with_faults(
-                &base,
-                &order,
-                bound_of,
-                &self.faults.node_failures,
-            );
-            let agg = (stats.busy_node_secs * 0.02 / self.env.remote.nodes as f64).max(60.0);
-            let fits = stats.finished_all() && state.db_secs + stats.makespan_secs + agg <= window;
+            let run =
+                self.execute_on(remote, tasks, failures, state.db_secs, false, &state.db_bounds);
+            let window = remote.window_secs() as f64;
             ctx.record_call(
                 breakers,
                 Resource::RemoteCluster,
-                step_start + stats.makespan_secs.min(window),
-                fits && stats.preempted == 0,
+                step_start + run.stats.makespan_secs.min(window),
+                run.fits && run.stats.preempted == 0,
             );
-            if fits {
-                return self.finish_slurm(stats, &base, Vec::new(), Site::Remote, 0.0);
+            if run.fits {
+                return self.finish_slurm(run, Site::Remote, 0.0);
             }
-            if stats.preempted > 0 {
-                wasted = self
-                    .faults
-                    .node_failures
+            if run.stats.preempted > 0 {
+                wasted = failures
                     .iter()
                     .map(|f| f.at_secs)
                     .fold(f64::INFINITY, f64::min)
-                    .clamp(0.0, stats.makespan_secs);
+                    .clamp(0.0, run.stats.makespan_secs);
             }
+            // Unshed, so these are the night's tasks unchanged.
+            tasks = run.kept;
         }
         // Otherwise (breaker already open, or the remote night is
         // lost): re-plan on home. Node failures are not carried over —
@@ -1077,49 +1084,22 @@ impl Engine {
             to: Site::Home,
             at_secs: step_start + wasted,
         });
-        let slowdown = self
-            .failover
-            .home_slowdown
-            .unwrap_or_else(|| self.env.home.failover_slowdown(&self.env.remote));
-        let mut kept: Vec<Task> = base;
-        for t in &mut kept {
+        let slowdown =
+            self.failover.home_slowdown.unwrap_or_else(|| self.env.home.failover_slowdown(remote));
+        for t in &mut tasks {
             t.actual_secs *= slowdown;
         }
-        let mut dropped: Vec<DroppedCell> = Vec::new();
-        let stats = loop {
-            let plan = pack(&kept, self.env.home.nodes, bound_of, self.env.algo);
-            let order: Vec<usize> =
-                plan.levels.iter().flat_map(|l| l.tasks.iter().copied()).collect();
-            let stats =
-                self.slurm_sim(self.env.home.clone()).run_with_faults(&kept, &order, bound_of, &[]);
-            let agg = (stats.busy_node_secs * 0.02 / self.env.home.nodes as f64).max(60.0);
-            let fits = stats.finished_all()
-                && state.db_secs + wasted + stats.makespan_secs + agg <= window;
-            if fits || !self.deadline.shed_cells {
-                break stats;
-            }
-            let Some(shed) = kept.iter().map(|t| t.cell).max() else {
-                break stats;
-            };
-            let n_before = kept.len();
-            kept.retain(|t| t.cell != shed);
-            dropped.push(DroppedCell { cell: shed, tasks: n_before - kept.len() });
-        };
-        self.finish_slurm(stats, &kept, dropped, Site::Home, wasted)
+        let spent = state.db_secs + wasted;
+        let run = self.execute_on(&self.env.home, tasks, &[], spent, shed, &state.db_bounds);
+        self.finish_slurm(run, Site::Home, wasted)
     }
 
     /// Shared execute-step epilogue: output volumes over the tasks that
     /// ran, the timeline label, and the journalable effect. `wasted` is
     /// folded into the reported makespan so the window check and the
     /// timeline agree on the night's true span.
-    fn finish_slurm(
-        &self,
-        mut stats: SlurmStats,
-        kept: &[Task],
-        dropped: Vec<DroppedCell>,
-        site: Site,
-        wasted: f64,
-    ) -> AttemptOk {
+    fn finish_slurm(&self, run: Execution, site: Site, wasted: f64) -> AttemptOk {
+        let Execution { mut stats, kept, dropped, .. } = run;
         stats.makespan_secs += wasted;
 
         // Output volumes over tasks that ran (per completed simulation:
@@ -1151,6 +1131,20 @@ impl Engine {
             label: Some(label),
         }
     }
+}
+
+/// Post-simulation aggregation time for `busy_node_secs` of Slurm work
+/// collected on a cluster of `nodes` nodes (at least a minute).
+fn aggregation_secs(busy_node_secs: f64, nodes: usize) -> f64 {
+    (busy_node_secs * 0.02 / nodes as f64).max(60.0)
+}
+
+/// Does a Slurm run fit the window: every task started, and `spent`
+/// seconds of earlier work plus the makespan plus `agg_secs` of
+/// aggregation end inside it? Evaluated as `spent + makespan + agg`
+/// left to right, the order the journals were recorded with.
+fn fits_window(spent: f64, stats: &SlurmStats, agg_secs: f64, window: f64) -> bool {
+    stats.finished_all() && spent + stats.makespan_secs + agg_secs <= window
 }
 
 fn apply_effect(effect: &StepEffect, state: &mut CycleState) {

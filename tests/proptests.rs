@@ -54,8 +54,15 @@ fn arb_edges(max_nodes: u32) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
     })
 }
 
-/// Run an SIR simulation on `net` in the given scan mode.
-fn run_epi(net: &ContactNetwork, beta: f64, seed: u64, parts: usize, reference: bool) -> SimResult {
+/// Saturation threshold θ = 0: every partition sweeps its whole node
+/// range every tick — the full-sweep oracle the frontier scan must
+/// match.
+const FULL_SWEEP: f64 = 0.0;
+/// θ > 1: no partition ever sweeps; the frontier merge does all work.
+const NEVER_SWEEP: f64 = 2.0;
+
+/// Run an SIR simulation on `net` at saturation threshold `theta`.
+fn run_epi(net: &ContactNetwork, beta: f64, seed: u64, parts: usize, theta: f64) -> SimResult {
     let n = net.n_nodes;
     let mut sim = Simulation::new(
         net,
@@ -68,7 +75,7 @@ fn run_epi(net: &ContactNetwork, beta: f64, seed: u64, parts: usize, reference: 
             seed,
             n_partitions: parts,
             initial_infections: 3,
-            reference_scan: reference,
+            saturation_threshold: theta,
             ..Default::default()
         },
     );
@@ -84,7 +91,7 @@ fn run_epi_ckpt(
     net: &ContactNetwork,
     beta: f64,
     seed: u64,
-    reference: bool,
+    theta: f64,
     interrupt_at: Option<u32>,
     parts_after: usize,
     mk_iv: &dyn Fn() -> InterventionSet,
@@ -95,7 +102,7 @@ fn run_epi_ckpt(
         seed,
         n_partitions: parts,
         initial_infections: 3,
-        reference_scan: reference,
+        saturation_threshold: theta,
         ..Default::default()
     };
     let sim = |ticks: u32, parts: usize| {
@@ -250,9 +257,10 @@ proptest! {
         }
     }
 
-    /// The frontier scan is byte-identical to the reference full-range
-    /// scan on arbitrary sparse/disconnected networks, across seeds and
-    /// partition counts, and never examines more λ-pass edges.
+    /// The frontier scan (default θ and θ > 1) is byte-identical to the
+    /// full-range sweep (θ = 0) on arbitrary sparse/disconnected
+    /// networks, across seeds and partition counts, and never examines
+    /// more λ-pass edges.
     #[test]
     fn frontier_scan_equals_reference_sparse(
         (n, pairs) in arb_edges(300),
@@ -261,18 +269,20 @@ proptest! {
     ) {
         let net = make_network(n, &pairs);
         for parts in [1usize, 4, 13] {
-            let fr = run_epi(&net, beta, seed, parts, false);
-            let rf = run_epi(&net, beta, seed, parts, true);
-            prop_assert_eq!(
-                &fr.output.transitions, &rf.output.transitions,
-                "transition logs diverge at {} partitions", parts
-            );
-            prop_assert_eq!(&fr.output.new_counts, &rf.output.new_counts);
-            prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
-            prop_assert_eq!(&fr.output.memory_bytes, &rf.output.memory_bytes);
-            prop_assert!(
-                fr.stats.total_edges_scanned() <= rf.stats.total_edges_scanned()
-            );
+            let rf = run_epi(&net, beta, seed, parts, FULL_SWEEP);
+            for theta in [0.75, NEVER_SWEEP] {
+                let fr = run_epi(&net, beta, seed, parts, theta);
+                prop_assert_eq!(
+                    &fr.output.transitions, &rf.output.transitions,
+                    "transition logs diverge at {} partitions, θ = {}", parts, theta
+                );
+                prop_assert_eq!(&fr.output.new_counts, &rf.output.new_counts);
+                prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
+                prop_assert_eq!(&fr.output.memory_bytes, &rf.output.memory_bytes);
+                prop_assert!(
+                    fr.stats.total_edges_scanned() <= rf.stats.total_edges_scanned()
+                );
+            }
         }
     }
 
@@ -286,17 +296,19 @@ proptest! {
     ) {
         let net = make_network(n, &pairs);
         for parts in [1usize, 4, 13] {
-            let fr = run_epi(&net, beta, seed, parts, false);
-            let rf = run_epi(&net, beta, seed, parts, true);
-            prop_assert_eq!(&fr.output.transitions, &rf.output.transitions);
-            prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
+            let rf = run_epi(&net, beta, seed, parts, FULL_SWEEP);
+            for theta in [0.75, NEVER_SWEEP] {
+                let fr = run_epi(&net, beta, seed, parts, theta);
+                prop_assert_eq!(&fr.output.transitions, &rf.output.transitions);
+                prop_assert_eq!(&fr.output.current_counts, &rf.output.current_counts);
+            }
         }
     }
 
     /// The golden checkpoint invariant: interrupting a run at *any*
     /// tick, round-tripping the snapshot through the checksummed wire
     /// encoding, and resuming — at a different partition count — is
-    /// byte-identical to the uninterrupted run, in both scan modes.
+    /// byte-identical to the uninterrupted run, in both scan orders.
     #[test]
     fn ckpt_resume_any_tick_byte_identical(
         (n, pairs) in arb_edges(120),
@@ -306,11 +318,11 @@ proptest! {
     ) {
         let net = make_network(n, &pairs);
         let no_iv = InterventionSet::default;
-        for reference in [false, true] {
-            let full = run_epi_ckpt(&net, beta, seed, reference, None, 4, &no_iv);
+        for theta in [0.75, FULL_SWEEP] {
+            let full = run_epi_ckpt(&net, beta, seed, theta, None, 4, &no_iv);
             // Resume at the same partition count: everything matches,
             // counters included.
-            let same = run_epi_ckpt(&net, beta, seed, reference, Some(k), 4, &no_iv);
+            let same = run_epi_ckpt(&net, beta, seed, theta, Some(k), 4, &no_iv);
             prop_assert_eq!(
                 &full.output, &same.output,
                 "output diverged after interrupt at tick {}", k
@@ -321,7 +333,7 @@ proptest! {
             // unchanged; only the per-partition scan-cost counter
             // (`edges_scanned`) may legitimately shift.
             for parts_after in [1usize, 13] {
-                let repart = run_epi_ckpt(&net, beta, seed, reference, Some(k), parts_after, &no_iv);
+                let repart = run_epi_ckpt(&net, beta, seed, theta, Some(k), parts_after, &no_iv);
                 prop_assert_eq!(
                     &full.output, &repart.output,
                     "output diverged resuming at {} partitions after tick {}", parts_after, k
@@ -358,8 +370,8 @@ proptest! {
                 .with(Box::new(StayAtHome::new(3, 12, 0.6)))
                 .with(Box::new(isolate))
         };
-        let full = run_epi_ckpt(&net, beta, seed, false, None, 4, &mk_iv);
-        let resumed = run_epi_ckpt(&net, beta, seed, false, Some(k), 4, &mk_iv);
+        let full = run_epi_ckpt(&net, beta, seed, 0.75, None, 4, &mk_iv);
+        let resumed = run_epi_ckpt(&net, beta, seed, 0.75, Some(k), 4, &mk_iv);
         prop_assert_eq!(
             &full.output, &resumed.output,
             "intervention state diverged after interrupt at tick {}", k
