@@ -18,10 +18,19 @@
 //!   shedding, failover where the remote window fits, failover where
 //!   the remote cluster is lost and the home cluster sheds, and a night
 //!   whose second execute step meets an open remote-cluster breaker.
+//! * **Calibration** — the GPMSA posterior (θ samples, acceptance,
+//!   final step, λ_ε and λ_δ) of two Metropolis-within-Gibbs runs
+//!   against a toy emulator with t = 70 days, so p_δ = 7. The chain's
+//!   `log_posts` are left out: their last bits depend on how the
+//!   marginal likelihood is evaluated, while every accept decision and
+//!   sample is pinned.
 //!
 //! On a mismatch the failure message lists every actual digest, so an
 //! intended output change is re-pinned from one run.
 
+use epiflow::calibrate::{
+    Emulator, GpmsaCalibration, GpmsaConfig, MetropolisConfig, ParamSpace, Posterior,
+};
 use epiflow::core::CombinedWorkflow;
 use epiflow::epihiper::checkpoint::fnv1a;
 use epiflow::epihiper::disease::sir_model;
@@ -338,4 +347,73 @@ fn orchestrator_digests_are_pinned() {
         report.push_str(&format!("{name}: (0x{:016x}, 0x{:016x})\n", actual.0, actual.1));
     }
     assert!(ok, "orchestrator digests changed; actual (events, journal):\n{report}");
+}
+
+/// Logistic "simulator" with a rate and a plateau parameter.
+fn toy_sim(theta: &[f64], t_len: usize) -> Vec<f64> {
+    let (rate, plateau) = (theta[0], theta[1]);
+    (0..t_len).map(|t| plateau / (1.0 + (-rate * (t as f64 - 25.0)).exp())).collect()
+}
+
+/// FNV-1a over the bit patterns of every pinned posterior field.
+fn posterior_digest(post: &Posterior) -> u64 {
+    let mut bytes = Vec::new();
+    let mut push = |x: f64| bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+    for sample in &post.theta.samples {
+        sample.iter().for_each(|&x| push(x));
+    }
+    push(post.theta.acceptance);
+    push(post.theta.final_step);
+    push(post.lambda_eps);
+    push(post.lambda_delta);
+    fnv1a(&bytes)
+}
+
+#[test]
+fn calibration_digests_are_pinned() {
+    const T_LEN: usize = 70;
+    let space = ParamSpace::new(&[("rate", 0.05, 0.4), ("plateau", 4.0, 16.0)]);
+    let designs = space.sample_lhs(50, 21);
+    let outputs: Vec<Vec<f64>> = designs.iter().map(|d| toy_sim(d, T_LEN)).collect();
+    let em = Emulator::fit(space, &designs, &outputs, 5, 3);
+    let truth = toy_sim(&[0.22, 9.5], T_LEN);
+    // A smooth bump the emulator cannot produce, so the discrepancy
+    // term carries real mass.
+    let bumped: Vec<f64> = truth
+        .iter()
+        .enumerate()
+        .map(|(t, y)| y + 0.4 * (-0.5 * ((t as f64 - 45.0) / 8.0).powi(2)).exp())
+        .collect();
+    let cases: [(&str, &[f64], u64, u64); 2] = [
+        ("exact_truth", &truth, 17, 0xaa03ee09a49bcd65),
+        ("with_discrepancy", &bumped, 5, 0x19fe0de414223f64),
+    ];
+    let mut report = String::new();
+    let mut ok = true;
+    for (name, observed, seed, expected) in cases {
+        let cal = GpmsaCalibration::new(
+            &em,
+            observed,
+            GpmsaConfig {
+                mcmc: MetropolisConfig {
+                    iterations: 400,
+                    burn_in: 100,
+                    seed,
+                    ..Default::default()
+                },
+                gibbs_sweeps: 2,
+                ..Default::default()
+            },
+        );
+        assert_eq!(cal.p_delta(), 7, "t = 70 days gives the paper's p_δ = 7");
+        let post = cal.run();
+        assert_eq!(post.theta.samples.len(), 150, "{name}: kept samples");
+        let actual = posterior_digest(&post);
+        ok &= actual == expected;
+        report.push_str(&format!(
+            "{name}: 0x{actual:016x} (acceptance {}, final_step {}, λ_ε {}, λ_δ {})\n",
+            post.theta.acceptance, post.theta.final_step, post.lambda_eps, post.lambda_delta
+        ));
+    }
+    assert!(ok, "calibration digests changed; actual:\n{report}");
 }
