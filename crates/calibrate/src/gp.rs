@@ -104,7 +104,6 @@ impl GpModel {
     pub fn fit(x_unit: &[Vec<f64>], y: &[f64], seed: u64) -> GpModel {
         assert!(!x_unit.is_empty(), "gp fit: empty design");
         assert_eq!(x_unit.len(), y.len(), "gp fit: x/y length mismatch");
-        let n = x_unit.len();
         let d = x_unit[0].len();
         let x = Mat::from_rows(x_unit);
 
@@ -175,7 +174,6 @@ impl GpModel {
         let k = build_cov(&x, &best);
         let (chol, _) = cholesky_jitter(&k, 1e-10, 10).expect("covariance factorizes");
         let alpha = chol.solve(&ys);
-        let _ = n;
         GpModel { x, y: ys, hyper: best, chol, alpha, y_mean, y_scale }
     }
 
@@ -193,10 +191,10 @@ impl GpModel {
             *ks = correlation(self.x.row(i), x_star, &self.hyper.rho) / self.hyper.lambda_w;
         }
         let mean_std = epiflow_linalg::dot(&kstar, &self.alpha);
-        // var = k(x*,x*) + nugget − k*ᵀ K⁻¹ k*.
-        let v = self.chol.solve(&kstar);
+        // var = k(x*,x*) + nugget − k*ᵀ K⁻¹ k*, with k*ᵀ K⁻¹ k* = ‖L⁻¹k*‖²
+        // (one triangular solve).
         let prior_var = 1.0 / self.hyper.lambda_w + 1.0 / self.hyper.lambda_n;
-        let var_std = (prior_var - epiflow_linalg::dot(&kstar, &v)).max(1e-12);
+        let var_std = (prior_var - self.chol.quad_form(&kstar)).max(1e-12);
         (self.y_mean + self.y_scale * mean_std, self.y_scale * self.y_scale * var_std)
     }
 
@@ -298,6 +296,30 @@ mod tests {
         let a = GpModel::fit(&x, &y, 9);
         let b = GpModel::fit(&x, &y, 9);
         assert_eq!(a.hyper, b.hyper);
+    }
+
+    #[test]
+    fn variance_matches_full_solve() {
+        let mut x = Vec::new();
+        for i in 0..6 {
+            for j in 0..6 {
+                x.push(vec![i as f64 / 5.0, (j as f64 + 0.3 * i as f64) / 6.5]);
+            }
+        }
+        let y: Vec<f64> = x.iter().map(|p| (2.0 * p[0]).sin() + p[1] * p[1]).collect();
+        let gp = GpModel::fit(&x, &y, 6);
+        let mut rng = StdRng::seed_from_u64(8);
+        let random = (0..40).map(|_| vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)]);
+        for p in random.chain(x.iter().cloned()) {
+            let (_, var) = gp.predict(&p);
+            let kstar: Vec<f64> = (0..gp.n_design())
+                .map(|i| correlation(gp.x.row(i), &p, &gp.hyper.rho) / gp.hyper.lambda_w)
+                .collect();
+            let prior_var = 1.0 / gp.hyper.lambda_w + 1.0 / gp.hyper.lambda_n;
+            let full = epiflow_linalg::dot(&kstar, &gp.chol.solve(&kstar));
+            let expected = gp.y_scale * gp.y_scale * (prior_var - full).max(1e-12);
+            assert!((var - expected).abs() <= 1e-12 * expected, "at {p:?}: {var} vs {expected}");
+        }
     }
 
     #[test]
