@@ -31,6 +31,7 @@
 //! `--smoke` shrinks both networks and skips the performance
 //! assertions so CI can verify the harness end-to-end in seconds.
 
+use epiflow_bench::{git_commit, min_median};
 use epiflow_epihiper::disease::sir_model;
 use epiflow_epihiper::{EngineStats, InterventionSet, SimConfig, SimResult, Simulation};
 use epiflow_synthpop::network::ContactEdge;
@@ -152,18 +153,11 @@ impl Timings {
     }
 
     fn min(&self) -> f64 {
-        self.secs.iter().copied().fold(f64::INFINITY, f64::min)
+        min_median(&self.secs).0
     }
 
     fn median(&self) -> f64 {
-        let mut v = self.secs.clone();
-        v.sort_by(f64::total_cmp);
-        let m = v.len() / 2;
-        if v.len().is_multiple_of(2) {
-            (v[m - 1] + v[m]) / 2.0
-        } else {
-            v[m]
-        }
+        min_median(&self.secs).1
     }
 }
 
@@ -245,20 +239,6 @@ fn run_case(case: &Case, reps: usize) -> (Value, f64) {
         ("frontier_occupancy_by_tick".into(), Value::Seq(occ_by_tick)),
     ]);
     (v, speedup)
-}
-
-/// The commit being measured: `git rev-parse HEAD`, else `GIT_COMMIT`
-/// from the environment, else "unknown".
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .or_else(|| std::env::var("GIT_COMMIT").ok())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {

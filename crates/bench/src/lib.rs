@@ -65,6 +65,34 @@ pub fn covid_sim(
     sim
 }
 
+/// The commit being measured: `git rev-parse HEAD`, else `GIT_COMMIT`
+/// from the environment, else "unknown".
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .or_else(|| std::env::var("GIT_COMMIT").ok())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// `(min, median)` of timing samples; an even count takes the mean of
+/// the middle two.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn min_median(secs: &[f64]) -> (f64, f64) {
+    assert!(!secs.is_empty(), "min_median: no samples");
+    let mut v = secs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let m = v.len() / 2;
+    let median = if v.len().is_multiple_of(2) { (v[m - 1] + v[m]) / 2.0 } else { v[m] };
+    (v[0], median)
+}
+
 /// Format a byte count human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     let f = b as f64;
