@@ -13,6 +13,11 @@
 //!   partitioning or θ); the stats digest is pinned per configuration
 //!   because `edges_scanned` measures how much of the network the scan
 //!   visited.
+//! * **Resume** — the `set_health` case interrupted at ticks 0, 1 and
+//!   20, at 1 and 4 partitions, carried through `encode` → `decode` →
+//!   `resume`. The digest covers the resumed `SimOutput` and
+//!   `EngineStats`, not the snapshot bytes, so it pins what a restart
+//!   produces under any wire format.
 //! * **Orchestrator** — `events_jsonl()` and the journal for four
 //!   nights that cover every branch of the execute step: classic with
 //!   shedding, failover where the remote window fits, failover where
@@ -32,7 +37,7 @@ use epiflow::calibrate::{
     Emulator, GpmsaCalibration, GpmsaConfig, MetropolisConfig, ParamSpace, Posterior,
 };
 use epiflow::core::CombinedWorkflow;
-use epiflow::epihiper::checkpoint::fnv1a;
+use epiflow::epihiper::checkpoint::{fnv1a, SimSnapshot};
 use epiflow::epihiper::disease::sir_model;
 use epiflow::epihiper::engine::{SimConfig, Simulation};
 use epiflow::epihiper::interventions::{
@@ -236,6 +241,65 @@ fn engine_digests_are_pinned() {
         ));
     }
     assert!(ok, "engine digests changed; actual:\n{report}");
+}
+
+/// Ticks the resume case interrupts at: before the first tick, after
+/// the seeding tick, and after both `SetHealth` interventions fired.
+const RESUME_TICKS: [u32; 3] = [0, 1, 20];
+
+#[test]
+fn resume_digests_are_pinned() {
+    // The uninterrupted run's output digest and its θ = 0.75 stats
+    // digest: a restart is byte-identical to never stopping.
+    const EXPECTED: (u64, u64) = (0x1e6376f15e8526a7, 0xf46500bf9775e8e3);
+    let case = engine_cases().into_iter().find(|c| c.name == "set_health").expect("case exists");
+    let n = case.net.n_nodes;
+    let config = |ticks: u32, parts: usize| SimConfig {
+        ticks,
+        seed: case.seed,
+        n_partitions: parts,
+        initial_infections: case.initial_infections,
+        record_transitions: true,
+        ..Default::default()
+    };
+    let mut report = String::new();
+    let mut ok = true;
+    for parts in [1, 4] {
+        for k in RESUME_TICKS {
+            let mut interrupted = Simulation::new(
+                &case.net,
+                sir_model(case.beta, case.infectious_days),
+                vec![2; n],
+                vec![0; n],
+                (case.interventions)(),
+                config(k, parts),
+            );
+            interrupted.run();
+            let snap = SimSnapshot::decode(&interrupted.snapshot().encode())
+                .expect("snapshot survives encode/decode");
+            let mut resumed = Simulation::resume(
+                &case.net,
+                sir_model(case.beta, case.infectious_days),
+                vec![2; n],
+                vec![0; n],
+                (case.interventions)(),
+                config(case.ticks, parts),
+                &snap,
+            )
+            .expect("snapshot matches the simulation it came from");
+            let res = resumed.run();
+            let actual = (
+                fnv1a(serde_json::to_string(&res.output).unwrap().as_bytes()),
+                fnv1a(serde_json::to_string(&res.stats).unwrap().as_bytes()),
+            );
+            ok &= actual == EXPECTED;
+            report.push_str(&format!(
+                "{parts} partitions, interrupt at {k}: (0x{:016x}, 0x{:016x})\n",
+                actual.0, actual.1
+            ));
+        }
+    }
+    assert!(ok, "resume digests changed; actual (output, stats):\n{report}");
 }
 
 fn remote_kill(workload: WorkloadSpec, failover: bool) -> CombinedWorkflow {
