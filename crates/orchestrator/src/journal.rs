@@ -329,6 +329,25 @@ mod tests {
     }
 
     #[test]
+    fn recovery_survives_deeply_nested_garbage() {
+        let journal = Journal { entries: (0..2).map(entry).collect() };
+        let jsonl = journal.to_jsonl();
+        let deep = "[".repeat(200_000);
+        // A deeply nested torn last line is a tear like any other…
+        let (recovered, torn) =
+            Journal::recover_jsonl(&format!("{jsonl}{deep}")).expect("recover torn jsonl");
+        assert!(torn);
+        assert_eq!(recovered, journal);
+        // …before an intact line it is corruption…
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        lines.insert(1, &deep);
+        assert!(Journal::recover_jsonl(&lines.join("\n")).is_err());
+        // …and the strict readers reject it without blowing the stack.
+        assert!(Journal::from_jsonl(&deep).is_err());
+        assert!(Journal::from_json(&deep).is_err());
+    }
+
+    #[test]
     fn writer_bytes_match_to_jsonl_and_atomic_save_round_trips() {
         let journal = Journal { entries: (0..3).map(entry).collect() };
         let dir = std::env::temp_dir().join(format!("epiflow-journal-{}", std::process::id()));

@@ -131,9 +131,18 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 // ---- parser ----------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (the limit upstream
+/// `serde_json` uses). The parser recurses once per level, so without
+/// a cap a run of `[` from a damaged file overflows the stack and
+/// aborts the process; the workspace's deepest document nests under
+/// ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -275,7 +284,26 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err("invalid number"))
     }
 
+    /// Parse one nested container with `body`, refusing to open more
+    /// than [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = body(self)?;
+        self.depth -= 1;
+        Ok(v)
+    }
+
     fn parse_seq(&mut self) -> Result<Value, Error> {
+        self.nested(Self::parse_seq_body)
+    }
+
+    fn parse_seq_body(&mut self) -> Result<Value, Error> {
         self.expect(b'[')?;
         let mut xs = Vec::new();
         self.skip_ws();
@@ -298,6 +326,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_map(&mut self) -> Result<Value, Error> {
+        self.nested(Self::parse_map_body)
+    }
+
+    fn parse_map_body(&mut self) -> Result<Value, Error> {
         self.expect(b'{')?;
         let mut m = Vec::new();
         self.skip_ws();
@@ -336,7 +368,7 @@ fn utf8_len(first: u8) -> usize {
 
 /// Parse a JSON string into a [`Value`].
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -396,5 +428,23 @@ mod tests {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("12 trailing").is_err());
         assert!(from_str::<Vec<u32>>("[1,").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            let mut s = open.repeat(depth);
+            s.push_str(&close.repeat(depth));
+            s
+        };
+        // At the limit: parses.
+        assert!(parse_value(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nested("{\"k\":", "}", MAX_DEPTH).replace(":}", ":0}")).is_ok());
+        // One past it, mixed, and far past it (unterminated, as a torn
+        // file would be): an error, never an abort.
+        let err = parse_value(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        assert!(parse_value(&"[{\"k\":".repeat(MAX_DEPTH)).is_err());
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 }
