@@ -11,9 +11,9 @@
 //! how a contact can be "turned on and off dynamically as required"
 //! without O(E) writes per intervention.
 
+use crate::checkpoint::{ByteReader, ByteWriter, SnapshotError};
 use crate::disease::StateId;
 use epiflow_synthpop::ActivityType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Node flag bits.
@@ -33,11 +33,11 @@ pub const NEVER: u32 = u32::MAX;
 
 /// The full mutable simulation state.
 ///
-/// Serializable in full — including the private edge bits and the
-/// health epoch — because it is the authoritative half of a
+/// Encoded in full — including the private edge bits and the health
+/// epoch — because it is the authoritative half of a
 /// [`crate::checkpoint::SimSnapshot`]; everything the engine derives
 /// from it (frontier index, occupancy) is rebuilt on restore.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimState {
     /// Current health state per node.
     pub health: Vec<StateId>,
@@ -249,6 +249,101 @@ impl SimState {
     /// Count of nodes currently in `state`.
     pub fn count_in(&self, state: StateId) -> usize {
         self.health.iter().filter(|&&h| h == state).count()
+    }
+
+    /// Write the `state` section of a snapshot: each per-node and
+    /// per-edge-word column as a length-prefixed run of raw values,
+    /// then the scalars, then the variables sorted by name so equal
+    /// states encode to equal bytes.
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
+        let SimState {
+            health,
+            exit_tick,
+            next_state,
+            infectivity_scale,
+            susceptibility_scale,
+            node_flags,
+            isolated_until,
+            stay_home_active,
+            closed_contexts,
+            edge_enabled,
+            n_edges,
+            variables,
+            scheduled_changes,
+            health_epoch,
+        } = self;
+        w.put_column(health);
+        w.put_column(exit_tick);
+        w.put_column(next_state);
+        w.put_column(infectivity_scale);
+        w.put_column(susceptibility_scale);
+        w.put_column(node_flags);
+        w.put_column(isolated_until);
+        w.put_bool(*stay_home_active);
+        w.put(*closed_contexts);
+        w.put_column(edge_enabled);
+        w.put(*n_edges as u64);
+        let mut vars: Vec<(&String, &f64)> = variables.iter().collect();
+        vars.sort_unstable_by_key(|&(name, _)| name);
+        w.put_seq(&vars, |w, (name, value)| {
+            w.put_str(name);
+            w.put(**value);
+        });
+        w.put(*scheduled_changes);
+        w.put(*health_epoch);
+    }
+
+    /// Read the `state` section written by [`SimState::encode_into`].
+    /// Only canonical encodings are accepted: every node column must
+    /// cover the same nodes, the edge words must cover exactly the
+    /// claimed edges, and variable names must be strictly increasing.
+    pub(crate) fn decode_from(r: &mut ByteReader) -> Result<Self, SnapshotError> {
+        let state = SimState {
+            health: r.column()?,
+            exit_tick: r.column()?,
+            next_state: r.column()?,
+            infectivity_scale: r.column()?,
+            susceptibility_scale: r.column()?,
+            node_flags: r.column()?,
+            isolated_until: r.column()?,
+            stay_home_active: r.bool()?,
+            closed_contexts: r.get()?,
+            edge_enabled: r.column()?,
+            n_edges: usize::try_from(r.get::<u64>()?)
+                .map_err(|_| r.invalid("edge count exceeds the address space"))?,
+            variables: HashMap::new(),
+            scheduled_changes: 0,
+            health_epoch: 0,
+        };
+        let vars = r.seq(8 + 8, |r| Ok((r.string()?, r.get::<f64>()?)))?;
+        if vars.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(r.invalid("variable names are not strictly increasing"));
+        }
+        let n = state.health.len();
+        let columns = [
+            ("exit_tick", state.exit_tick.len()),
+            ("next_state", state.next_state.len()),
+            ("infectivity_scale", state.infectivity_scale.len()),
+            ("susceptibility_scale", state.susceptibility_scale.len()),
+            ("node_flags", state.node_flags.len()),
+            ("isolated_until", state.isolated_until.len()),
+        ];
+        if let Some((column, len)) = columns.into_iter().find(|&(_, len)| len != n) {
+            return Err(r.invalid(format!("column `{column}` covers {len} nodes, `health` {n}")));
+        }
+        if state.edge_enabled.len() != state.n_edges.div_ceil(64) {
+            return Err(r.invalid(format!(
+                "{} edge-enable words cannot cover {} edges",
+                state.edge_enabled.len(),
+                state.n_edges
+            )));
+        }
+        Ok(SimState {
+            variables: vars.into_iter().collect(),
+            scheduled_changes: r.get()?,
+            health_epoch: r.get()?,
+            ..state
+        })
     }
 
     /// Estimated resident memory in bytes: the static network share is
