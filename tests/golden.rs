@@ -18,11 +18,14 @@
 //!   `resume`. The digest covers the resumed `SimOutput` and
 //!   `EngineStats`, not the snapshot bytes, so it pins what a restart
 //!   produces under any wire format.
-//! * **Orchestrator** — `events_jsonl()` and the journal for four
-//!   nights that cover every branch of the execute step: classic with
+//! * **Orchestrator** — `events_jsonl()` and the journal for six
+//!   nights. Four cover every branch of the execute step: classic with
 //!   shedding, failover where the remote window fits, failover where
 //!   the remote cluster is lost and the home cluster sheds, and a night
 //!   whose second execute step meets an open remote-cluster breaker.
+//!   Two cover the transfer and restore attempts under link drops,
+//!   slow links, database exhaustion and stragglers: one classic, one
+//!   with failover hedging and re-routing around hair-trigger breakers.
 //! * **Calibration** — the GPMSA posterior (θ samples, acceptance,
 //!   final step, λ_ε and λ_δ) of two Metropolis-within-Gibbs runs
 //!   against a toy emulator with t = 70 days, so p_δ = 7. The chain's
@@ -47,8 +50,8 @@ use epiflow::hpcsim::cluster::Site;
 use epiflow::hpcsim::slurm::NodeFailure;
 use epiflow::hpcsim::task::WorkloadSpec;
 use epiflow::orchestrator::{
-    BreakerConfig, DeadlinePolicy, EngineEvent, FailoverPolicy, FaultPlan, RetryPolicy, RunResult,
-    StepKind, StepSpec,
+    BreakerConfig, DeadlinePolicy, EngineEvent, FailoverPolicy, FaultPlan, LinkFaults, RetryPolicy,
+    RunResult, StepEffect, StepKind, StepSpec,
 };
 use epiflow::surveillance::{RegionRegistry, Scale};
 use epiflow::synthpop::network::ContactEdge;
@@ -390,16 +393,100 @@ fn breaker_open() -> RunResult {
     run
 }
 
+/// A small night under link drops, slow links, database exhaustion and
+/// task stragglers (seed 7: the config transfer straggles, the summary
+/// transfer's first attempt drops, some regions' databases exhaust).
+/// With failover on, restores also straggle and every breaker trips on
+/// its first failure.
+fn link_db_faults(failover: bool) -> CombinedWorkflow {
+    let seed = 7;
+    let mut wf = CombinedWorkflow {
+        workload: small(),
+        faults: FaultPlan {
+            seed,
+            link: LinkFaults { fail_prob: 0.4, seed, slow_prob: 0.5, slow_factor: 5.0 },
+            db_exhaust_prob: 0.3,
+            db_keep_fraction: 0.25,
+            straggler_prob: 0.05,
+            straggler_factor: 3.0,
+            ..FaultPlan::default()
+        },
+        ..Default::default()
+    };
+    if failover {
+        wf.failover = FailoverPolicy::on();
+        wf.faults.db_slow_prob = 0.3;
+        wf.faults.db_slow_factor = 6.0;
+        wf.breaker = BreakerConfig { min_calls: 1, cooldown_secs: 1.0e9, ..Default::default() };
+    }
+    wf
+}
+
+/// Smallest per-region task bound the night's restore left.
+fn min_db_bound(run: &RunResult) -> usize {
+    run.journal
+        .entries
+        .iter()
+        .find_map(|e| match &e.effect {
+            StepEffect::DbRestore { bounds, .. } => bounds.iter().map(|&(_, b)| b).min(),
+            _ => None,
+        })
+        .expect("nightly DAG restores databases")
+}
+
+/// Classic engine under link and database faults: a transfer is
+/// retried and exhaustion shrinks a region's task bound.
+fn classic_link_db_faults() -> RunResult {
+    let reg = RegionRegistry::new();
+    let wf = link_db_faults(false);
+    let quiet_bound = wf.db_max_connections / wf.workload.db_connections_per_task;
+    let engine = wf.engine(&reg, Scale::default());
+    let run = engine.run();
+    let transfer_failures = run
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(e, EngineEvent::AttemptFailed { step, .. }
+            if matches!(engine.dag.steps[*step].kind, StepKind::Transfer { .. }))
+        })
+        .count();
+    assert!(transfer_failures > 0, "a transfer must be retried");
+    assert!(min_db_bound(&run) < quiet_bound, "exhaustion must shrink a bound");
+    assert!(run.report.failed_steps.is_empty());
+    run
+}
+
+/// Failover engine under the same faults plus straggling restores,
+/// with hair-trigger breakers: slow attempts are hedged and calls
+/// against tripped breakers are re-routed.
+fn failover_hedge_reroute() -> RunResult {
+    let reg = RegionRegistry::new();
+    let run = link_db_faults(true).engine(&reg, Scale::default()).run();
+    assert!(run.report.hedges > 0, "a straggling attempt must be hedged");
+    assert!(run.report.reroutes > 0, "a tripped breaker must re-route");
+    run
+}
+
 /// A named night and its pinned `(events, journal)` digests.
 type Night = (&'static str, fn() -> RunResult, (u64, u64));
 
 #[test]
 fn orchestrator_digests_are_pinned() {
-    let nights: [Night; 4] = [
+    let nights: [Night; 6] = [
         ("classic_shed", classic_shed, (0x6d95257759062d2f, 0xc112b445892cfbcb)),
         ("failover_remote_fits", failover_remote_fits, (0xbfa77b9fcb8fbe88, 0xd2d653bf251de5f4)),
         ("failover_home_sheds", failover_home_sheds, (0x349d4d018f89acd0, 0x6c3763b9b15dfa3d)),
         ("breaker_open", breaker_open, (0xe1e96d7d2415a1c6, 0xfdd01077f60830bc)),
+        (
+            "classic_link_db_faults",
+            classic_link_db_faults,
+            (0xb75cfe2a26395c8d, 0x7f5433c7557a0db9),
+        ),
+        (
+            "failover_hedge_reroute",
+            failover_hedge_reroute,
+            (0x92692b4bfaf42fca, 0x270cbcb008e0f710),
+        ),
     ];
     let mut report = String::new();
     let mut ok = true;
