@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 /// no faults, reproducing the happy-path workflow exactly.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// Seed for the stateless draws (stragglers, DB exhaustion).
+    /// Seed for the stateless draws (stragglers, DB exhaustion, slow
+    /// restores).
     pub seed: u64,
     /// Mid-flight transfer drops on the inter-site link.
     pub link: LinkFaults,
@@ -30,6 +31,8 @@ pub struct FaultPlan {
     pub straggler_factor: f64,
     /// Probability a region's snapshot restore straggles (I/O
     /// contention on the database nodes), stretching its startup time.
+    /// Applies with failover on or off; only the hedge that races a
+    /// standby against the straggler needs failover.
     pub db_slow_prob: f64,
     /// Startup-time multiplier for straggling restores.
     pub db_slow_factor: f64,

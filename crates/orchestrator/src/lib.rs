@@ -11,7 +11,7 @@
 //!
 //! * [`step`] — the step taxonomy (config-gen, Globus transfer, DB
 //!   snapshot-restore, pack + Slurm execute, collect, analytics), retry
-//!   policies with exponential backoff and timeouts, and the
+//!   policies with exponential backoff, and the
 //!   acyclic-by-construction [`Dag`](step::Dag).
 //! * [`faults`] — the seeded fault plan layered over the hpcsim
 //!   substrate: mid-flight transfer drops, mid-level node crashes, DB
@@ -52,7 +52,7 @@ pub use campaign::{
 };
 pub use engine::{
     timeline_text, CycleEnv, CycleReport, DeadlinePolicy, DroppedCell, Engine, EngineEvent,
-    EventCounters, FailoverPolicy, HedgePolicy, RunResult, TimelineEvent,
+    EventCounters, FailoverPolicy, RunResult, TimelineEvent,
 };
 pub use faults::{fault_unit, FaultPlan, LinkFaults};
 pub use journal::{Journal, JournalEntry, JournalWriter, StepEffect};

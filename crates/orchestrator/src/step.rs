@@ -12,8 +12,12 @@ use serde::{Deserialize, Serialize};
 /// Index of a step within its [`Dag`].
 pub type StepId = usize;
 
-/// Per-step retry policy: exponential backoff between attempts plus an
-/// optional per-attempt timeout.
+/// Multiplier applied to the backoff wait for each subsequent retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Per-step retry policy: exponential backoff (×2 per retry) between
+/// attempts. Attempts have no timeout: a failed attempt costs the time
+/// it wasted.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt (total attempts =
@@ -21,32 +25,17 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Wait before the first retry.
     pub base_backoff_secs: f64,
-    /// Multiplier applied to the wait for each subsequent retry.
-    pub backoff_factor: f64,
-    /// Per-attempt wall-clock cap: an attempt that would run longer is
-    /// aborted at the cap and counted as a failure.
-    pub timeout_secs: Option<f64>,
 }
 
 impl RetryPolicy {
-    /// No retries, no timeout: the step gets exactly one attempt.
+    /// No retries: the step gets exactly one attempt.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff_secs: 0.0,
-            backoff_factor: 2.0,
-            timeout_secs: None,
-        }
+        RetryPolicy::retries(0, 0.0)
     }
 
     /// `max_retries` retries with exponential backoff from `base_secs`.
     pub fn retries(max_retries: u32, base_secs: f64) -> Self {
-        RetryPolicy {
-            max_retries,
-            base_backoff_secs: base_secs,
-            backoff_factor: 2.0,
-            timeout_secs: None,
-        }
+        RetryPolicy { max_retries, base_backoff_secs: base_secs }
     }
 
     /// Total attempts the policy allows.
@@ -56,7 +45,7 @@ impl RetryPolicy {
 
     /// Backoff wait after failed attempt `attempt` (0-based).
     pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        self.base_backoff_secs * self.backoff_factor.powi(attempt as i32)
+        self.base_backoff_secs * BACKOFF_FACTOR.powi(attempt as i32)
     }
 }
 
@@ -152,11 +141,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential() {
-        let p = RetryPolicy {
-            base_backoff_secs: 10.0,
-            backoff_factor: 2.0,
-            ..RetryPolicy::retries(3, 10.0)
-        };
+        let p = RetryPolicy::retries(3, 10.0);
         assert_eq!(p.backoff_secs(0), 10.0);
         assert_eq!(p.backoff_secs(1), 20.0);
         assert_eq!(p.backoff_secs(2), 40.0);

@@ -11,7 +11,9 @@
 use epiflow::core::CombinedWorkflow;
 use epiflow::hpcsim::slurm::NodeFailure;
 use epiflow::hpcsim::task::WorkloadSpec;
-use epiflow::orchestrator::{DeadlinePolicy, EngineEvent, FaultPlan, Journal, LinkFaults};
+use epiflow::orchestrator::{
+    DeadlinePolicy, EngineEvent, FaultPlan, Journal, LinkFaults, RunResult, StepEffect,
+};
 use epiflow::surveillance::{RegionRegistry, Scale};
 
 /// A 204-task night with every fault source active. The link seed is
@@ -119,4 +121,33 @@ fn degradation_sheds_lowest_priority_cells_first() {
     // What was kept ran to completion.
     let slurm = run.report.slurm.as_ref().unwrap();
     assert_eq!(slurm.unstarted, 0, "after shedding, the kept workload fits");
+}
+
+/// The snapshot-restore startup time a night's journal recorded.
+fn db_startup_secs(run: &RunResult) -> f64 {
+    run.journal
+        .entries
+        .iter()
+        .find_map(|e| match e.effect {
+            StepEffect::DbRestore { startup_secs, .. } => Some(startup_secs),
+            _ => None,
+        })
+        .expect("nightly DAG restores databases")
+}
+
+#[test]
+fn classic_night_applies_db_slow_faults() {
+    // Straggling restores are a fault of the database nodes, not of the
+    // failover policy: a classic night must pay for them too.
+    let reg = RegionRegistry::new();
+    let quiet = CombinedWorkflow {
+        workload: WorkloadSpec { cells: 2, replicates: 2, ..WorkloadSpec::prediction() },
+        ..Default::default()
+    };
+    let mut slow = quiet.clone();
+    slow.faults.db_slow_prob = 1.0;
+    slow.faults.db_slow_factor = 4.0;
+    let quiet_secs = db_startup_secs(&quiet.engine(&reg, Scale::default()).run());
+    let slow_secs = db_startup_secs(&slow.engine(&reg, Scale::default()).run());
+    assert_eq!(slow_secs, 4.0 * quiet_secs, "every restore straggles at 4×");
 }
