@@ -16,13 +16,14 @@ use epiflow::hpcsim::coloring::{
     greedy_relaxed_coloring, validate_relaxed_coloring, ConflictGraph,
 };
 use epiflow::hpcsim::schedule::{pack, PackAlgo};
+use epiflow::hpcsim::slurm::NodeFailure;
 use epiflow::hpcsim::task::Task;
 use epiflow::hpcsim::task::WorkloadSpec;
 use epiflow::linalg::{cholesky, Mat};
 use epiflow::orchestrator::{
     sample_fault_plan, BreakerConfig, BreakerState, CampaignSpec, CircuitBreaker, CycleEnv, Dag,
-    DeadlinePolicy, Engine, EngineEvent, FailoverPolicy, FaultProfile, NightlySpec, RetryPolicy,
-    StepKind, StepSpec,
+    DeadlinePolicy, Engine, EngineEvent, FailoverPolicy, FaultPlan, FaultProfile, Journal,
+    LinkFaults, NightlySpec, RetryPolicy, StepKind, StepSpec,
 };
 use epiflow::surveillance::CaseSeries;
 use epiflow::surveillance::{RegionRegistry, Scale};
@@ -31,7 +32,7 @@ use epiflow::synthpop::network::ContactEdge;
 use epiflow::synthpop::{ActivityType, ContactNetwork};
 use proptest::prelude::*;
 use rand::RngCore;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A 204-task nightly engine with failover + hedging on and an
 /// arbitrary sampled fault plan (possibly a total remote kill).
@@ -745,5 +746,162 @@ proptest! {
             );
             prop_assert_eq!(&base_out.stats, &res_out.stats);
         }
+    }
+}
+
+/// A nightly engine and its uninterrupted run's journal, as JSON lines
+/// and as one JSON document.
+struct FuzzNight {
+    engine: Engine,
+    jsonl: String,
+    json: String,
+}
+
+/// A small night whose journal exercises every field: link drops and
+/// slow links, database exhaustion, task stragglers and a node crash
+/// that forces shedding. With failover on, restores also straggle,
+/// breakers trip on their first failure (so calls, hedges and
+/// re-routes are journaled), and the crash takes the whole remote
+/// cluster, so the execute step fails over home.
+fn fuzz_night(failover: bool) -> &'static FuzzNight {
+    static NIGHTS: [OnceLock<FuzzNight>; 2] = [OnceLock::new(), OnceLock::new()];
+    NIGHTS[failover as usize].get_or_init(|| {
+        let seed = 7;
+        let mut wf = CombinedWorkflow {
+            workload: WorkloadSpec { cells: 2, replicates: 2, ..WorkloadSpec::prediction() },
+            faults: FaultPlan {
+                seed,
+                link: LinkFaults { fail_prob: 0.4, seed, slow_prob: 0.5, slow_factor: 5.0 },
+                node_failures: vec![NodeFailure { at_secs: 60.0, nodes: 600 }],
+                db_exhaust_prob: 0.3,
+                db_keep_fraction: 0.25,
+                straggler_prob: 0.05,
+                straggler_factor: 3.0,
+                ..FaultPlan::default()
+            },
+            deadline: DeadlinePolicy { shed_cells: true },
+            ..Default::default()
+        };
+        if failover {
+            wf.failover = FailoverPolicy::on();
+            wf.breaker = BreakerConfig { min_calls: 1, cooldown_secs: 1.0e9, ..Default::default() };
+            wf.faults.db_slow_prob = 0.3;
+            wf.faults.db_slow_factor = 6.0;
+            wf.faults.node_failures = vec![NodeFailure { at_secs: 60.0, nodes: 720 }];
+        }
+        let engine = wf.engine(&RegionRegistry::new(), Scale::default());
+        let journal = engine.run().journal;
+        FuzzNight { engine, jsonl: journal.to_jsonl(), json: journal.to_json() }
+    })
+}
+
+/// Values a corrupted journal might carry in a numeric field: past
+/// `u32`, past `u64`, negative, and past `f64`.
+const HOSTILE_NUMBERS: [&str; 8] = [
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "-1",
+    "-9223372036854775808",
+    "1e999",
+    "-1e999",
+    "123456789012345678901234567890",
+];
+
+/// Apply one mutation to journal text. `op` picks the kind — byte
+/// flip, truncation, line splice, numeric rewrite — and `a`, `b` pick
+/// where and what.
+fn mutate_journal(text: &mut Vec<u8>, op: u8, a: u64, b: u64) {
+    if text.is_empty() {
+        return;
+    }
+    let len = text.len() as u64;
+    match op {
+        0 => text[(a % len) as usize] ^= (b % 255) as u8 + 1,
+        1 => text.truncate((a % (len + 1)) as usize),
+        2 => {
+            // Copy line `a` in front of line `b`; an even `b` also
+            // drops the original, so a splice can reorder as well as
+            // duplicate.
+            let mut lines: Vec<Vec<u8>> = text.split(|&c| c == b'\n').map(<[u8]>::to_vec).collect();
+            let n = lines.len() as u64;
+            let (from, to) = ((a % n) as usize, (b % n) as usize);
+            let line = lines[from].clone();
+            if b.is_multiple_of(2) {
+                lines.remove(from);
+            }
+            lines.insert(to.min(lines.len()), line);
+            *text = lines.join(&b'\n');
+        }
+        _ => {
+            // Rewrite the `a`-th number token.
+            let mut tokens = Vec::new();
+            let mut i = 0;
+            while i < text.len() {
+                let starts = text[i].is_ascii_digit()
+                    || (text[i] == b'-' && text.get(i + 1).is_some_and(u8::is_ascii_digit));
+                if starts && (i == 0 || b":[, \n".contains(&text[i - 1])) {
+                    let end = (i + 1..text.len())
+                        .find(|&j| {
+                            !matches!(text[j], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+                        })
+                        .unwrap_or(text.len());
+                    tokens.push(i..end);
+                    i = end;
+                } else {
+                    i += 1;
+                }
+            }
+            if !tokens.is_empty() {
+                let range = tokens[(a % tokens.len() as u64) as usize].clone();
+                let value = HOSTILE_NUMBERS[(b % HOSTILE_NUMBERS.len() as u64) as usize];
+                text.splice(range, value.bytes());
+            }
+        }
+    }
+}
+
+/// The decoder property: mutated journal text never panics a reader,
+/// and every journal a reader accepts resumes without panicking.
+fn journal_decoders_survive(night: &FuzzNight, mutations: &[(u8, u64, u64)]) {
+    let mutate = |text: &str| {
+        let mut bytes = text.as_bytes().to_vec();
+        for &(op, a, b) in mutations {
+            mutate_journal(&mut bytes, op, a, b);
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    };
+    let jsonl = mutate(&night.jsonl);
+    if let Ok(journal) = Journal::from_jsonl(&jsonl) {
+        night.engine.resume(&journal);
+    }
+    if let Ok((journal, _)) = Journal::recover_jsonl(&jsonl) {
+        night.engine.resume(&journal);
+    }
+    if let Ok(journal) = Journal::from_json(&mutate(&night.json)) {
+        night.engine.resume(&journal);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Journal decoders on a classic night's journal: byte flips,
+    /// truncations, line splices and hostile numbers never panic the
+    /// readers or a resume from what they accept.
+    #[test]
+    fn ckpt_journal_fuzz_classic(
+        mutations in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        journal_decoders_survive(fuzz_night(false), &mutations);
+    }
+
+    /// The same property on a failover night's journal, whose entries
+    /// also carry breaker calls, failover sites, hedges and re-routes.
+    #[test]
+    fn ckpt_journal_fuzz_failover(
+        mutations in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        journal_decoders_survive(fuzz_night(true), &mutations);
     }
 }
