@@ -1125,7 +1125,8 @@ impl Simulation {
     /// — the ensemble fast path for restarts: a preempted replicate
     /// resumes without rebuilding the network the rest of the ensemble
     /// is already sharing. Same validation, same byte-identical
-    /// continuation.
+    /// continuation; a context partitioned differently from `config`
+    /// is also a [`SnapshotError::Mismatch`].
     pub fn resume_with_context(
         ctx: Arc<SimContext>,
         model: DiseaseModel,
@@ -1133,12 +1134,21 @@ impl Simulation {
         config: SimConfig,
         snapshot: &SimSnapshot,
     ) -> Result<Self, SnapshotError> {
+        let check =
+            |ok: bool, what: String| if ok { Ok(()) } else { Err(SnapshotError::Mismatch(what)) };
+        // `new_with_context` asserts this; checked here first so a
+        // mismatched context is an error, not a panic.
+        check(
+            (ctx.n_partitions, ctx.epsilon) == (config.n_partitions, config.epsilon),
+            format!(
+                "context partitioned for {}/ε={}, config requests {}/ε={}",
+                ctx.n_partitions, ctx.epsilon, config.n_partitions, config.epsilon
+            ),
+        )?;
         let meta = &snapshot.meta;
         if meta.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Version(meta.version));
         }
-        let check =
-            |ok: bool, what: String| if ok { Ok(()) } else { Err(SnapshotError::Mismatch(what)) };
         check(
             meta.seed == config.seed,
             format!("seed: snapshot {} vs config {}", meta.seed, config.seed),
@@ -1939,6 +1949,31 @@ mod tests {
             sir_model(1.0, 5.0),
             InterventionSet::default(),
             SimConfig { n_partitions: 8, ..Default::default() },
+        );
+    }
+
+    /// Unlike `new_with_context`, the fallible resume path reports a
+    /// context/config partitioning mismatch as a typed error.
+    #[test]
+    fn ckpt_resume_with_mismatched_context_is_an_error() {
+        let net = dense_network(10);
+        let config = SimConfig { ticks: 10, n_partitions: 4, ..Default::default() };
+        let mut sim = sim_on(&net, 1.5, SimConfig { ticks: 5, ..config.clone() });
+        sim.run();
+        let snapshot = sim.snapshot();
+        let ctx = std::sync::Arc::new(SimContext::build(&net, vec![2; 10], vec![0; 10], 8, 16));
+        let err = Simulation::resume_with_context(
+            ctx,
+            sir_model(1.5, 5.0),
+            InterventionSet::default(),
+            config,
+            &snapshot,
+        )
+        .err()
+        .expect("mismatched partitioning must be rejected");
+        assert!(
+            matches!(&err, SnapshotError::Mismatch(why) if why.contains("context partitioned for")),
+            "{err}"
         );
     }
 
