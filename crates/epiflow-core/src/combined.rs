@@ -18,39 +18,30 @@
 //! turns on seeded fault injection, per-step retries, and
 //! deadline-aware cell shedding.
 
-use epiflow_hpcsim::cluster::ClusterSpec;
-use epiflow_hpcsim::globus::{GlobusLink, TransferLedger};
+use epiflow_hpcsim::globus::TransferLedger;
 use epiflow_hpcsim::schedule::PackAlgo;
 use epiflow_hpcsim::slurm::SlurmStats;
 use epiflow_hpcsim::task::{Task, WorkloadSpec};
 use epiflow_orchestrator::{
     nightly_engine, BreakerConfig, DeadlinePolicy, DroppedCell, Engine, FailoverPolicy, FaultPlan,
-    NightlySpec, RetryPolicy, RunResult,
+    NightlySpec, RunResult,
 };
 use epiflow_surveillance::{RegionRegistry, Scale};
 
 pub use epiflow_orchestrator::TimelineEvent;
 
-/// The nightly combined workflow.
+/// The nightly combined workflow. The clusters, links, database bound
+/// and step durations are the paper's fixed deployment (see
+/// [`epiflow_orchestrator::CycleEnv::new`]); these fields are what a
+/// night varies.
 #[derive(Clone, Debug)]
 pub struct CombinedWorkflow {
-    pub home: ClusterSpec,
-    pub remote: ClusterSpec,
-    pub link: GlobusLink,
     pub workload: WorkloadSpec,
     pub algo: PackAlgo,
-    /// Per-region database connection bound B(r).
-    pub db_max_connections: usize,
-    /// Seconds of analyst + tooling time to generate configurations.
-    pub config_gen_secs: f64,
-    /// Seconds of analytics time on the home cluster after return.
-    pub analysis_secs: f64,
     /// Fault injection for the cycle (default: quiet).
     pub faults: FaultPlan,
     /// Deadline-aware degradation policy (default: off).
     pub deadline: DeadlinePolicy,
-    /// Retry policy for the Globus transfers.
-    pub transfer_retry: RetryPolicy,
     /// Cross-cluster failover, re-routing, and hedging (default: off —
     /// the classic engine).
     pub failover: FailoverPolicy,
@@ -63,23 +54,12 @@ impl Default for CombinedWorkflow {
     fn default() -> Self {
         let spec = NightlySpec::default();
         CombinedWorkflow {
-            home: ClusterSpec::rivanna(),
-            remote: ClusterSpec::bridges(),
-            link: GlobusLink::default(),
             workload: WorkloadSpec::prediction(),
-            algo: PackAlgo::FfdtDc,
-            // One PostgreSQL server per region on its own node; with 4
-            // connections per job this allows 16 concurrent jobs per
-            // region, enough that the machine (not the databases) is
-            // the binding constraint on all-state nights.
-            db_max_connections: 64,
-            config_gen_secs: 2.0 * 3600.0,
-            analysis_secs: 3.0 * 3600.0,
+            algo: spec.algo,
             faults: FaultPlan::default(),
             deadline: DeadlinePolicy::default(),
-            transfer_retry: spec.transfer_retry,
-            failover: FailoverPolicy::default(),
-            breaker: BreakerConfig::default(),
+            failover: spec.failover,
+            breaker: spec.breaker,
         }
     }
 }
@@ -134,15 +114,8 @@ impl CombinedWorkflow {
         let region_rows: Vec<(usize, u64)> =
             regions.iter().map(|&r| (r, registry.region(r).population)).collect();
         let spec = NightlySpec {
-            link: self.link.clone(),
-            remote: self.remote.clone(),
-            home: self.home.clone(),
             algo: self.algo,
-            db_max_connections: self.db_max_connections,
             conns_per_task: self.workload.db_connections_per_task,
-            config_gen_secs: self.config_gen_secs,
-            analysis_secs: self.analysis_secs,
-            transfer_retry: self.transfer_retry,
             failover: self.failover,
             breaker: self.breaker,
             ..NightlySpec::default()
@@ -153,24 +126,6 @@ impl CombinedWorkflow {
     /// Simulate one nightly cycle.
     pub fn run(&self, registry: &RegionRegistry, scale: Scale) -> CombinedReport {
         CombinedReport::from_engine(self.engine(registry, scale).run())
-    }
-
-    /// Execute the *in-process* simulation leg of the nightly design
-    /// for one region: where [`CombinedWorkflow::run`] models *when*
-    /// the cells×replicates grid executes inside the batch window, this
-    /// actually runs that grid — against one shared
-    /// [`crate::runner::EnsembleRunner`] context, the same way the
-    /// remote cluster amortizes the network build across a night's
-    /// replicates. `n_partitions` maps to the per-job core count of the
-    /// workload spec.
-    pub fn run_design_in_process(
-        &self,
-        data: &epiflow_synthpop::builder::RegionData,
-        design: &crate::design::StudyDesign,
-        n_partitions: usize,
-        base_seed: u64,
-    ) -> Vec<crate::runner::CellRunSummary> {
-        crate::runner::EnsembleRunner::new(data, n_partitions).run_design(design, base_seed)
     }
 }
 

@@ -232,24 +232,21 @@ impl CampaignSpec {
     /// parallel fan-out against.
     pub fn run_night(&self, intensity_idx: usize, night: u64) -> NightOutcome {
         let intensity = self.intensities[intensity_idx];
-        let faults = match self.profile {
-            FaultProfile::Mixed => {
-                sample_fault_plan(self.base_seed, night, intensity, &self.nightly.remote)
-            }
-            FaultProfile::PreemptHeavy => sample_fault_plan_preempt_heavy(
-                self.base_seed,
-                night,
-                intensity,
-                &self.nightly.remote,
-            ),
-        };
-        let engine = nightly_engine(
+        let mut engine = nightly_engine(
             &self.nightly,
             self.tasks.clone(),
             self.region_rows.clone(),
-            faults,
+            FaultPlan::default(),
             self.deadline,
         );
+        // Faults are sampled against the remote cluster the night runs on.
+        let remote = &engine.env.remote;
+        engine.faults = match self.profile {
+            FaultProfile::Mixed => sample_fault_plan(self.base_seed, night, intensity, remote),
+            FaultProfile::PreemptHeavy => {
+                sample_fault_plan_preempt_heavy(self.base_seed, night, intensity, remote)
+            }
+        };
         let result = engine.run();
         NightOutcome {
             intensity,

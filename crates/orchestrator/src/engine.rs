@@ -12,6 +12,7 @@
 use crate::breaker::{BreakerConfig, BreakerSet, BreakerState, Resource, ResourceCall};
 use crate::faults::{fault_unit, FaultPlan};
 use crate::journal::{Journal, JournalEntry, StepEffect};
+use crate::nightly::NightlySpec;
 use crate::step::{BytesSpec, Dag, StepId, StepKind, StepSpec};
 use epiflow_hpcsim::cluster::{ClusterSpec, Site};
 use epiflow_hpcsim::globus::{GlobusLink, Transfer};
@@ -128,20 +129,31 @@ pub struct CycleEnv {
 }
 
 impl CycleEnv {
-    /// An environment for synthetic DAGs (tests, benches) that use no
-    /// nightly-specific steps.
-    pub fn synthetic() -> Self {
+    /// The paper's deployment (Table II) for one night: Bridges as the
+    /// remote cluster, Rivanna as home, the Globus research link and a
+    /// slow commodity fallback, and per-region database snapshots.
+    pub fn new(spec: &NightlySpec, tasks: Vec<Task>, region_rows: Vec<(usize, u64)>) -> Self {
         CycleEnv {
             link: GlobusLink::default(),
             remote: ClusterSpec::bridges(),
             home: ClusterSpec::rivanna(),
             fallback_link: GlobusLink { bandwidth_bps: 50e6, overhead_secs: 60.0 },
-            algo: PackAlgo::FfdtDc,
+            algo: spec.algo,
+            // One PostgreSQL server per region on its own node; with 4
+            // connections per job this allows 16 concurrent jobs per
+            // region, enough that the machine (not the databases) is
+            // the binding constraint on all-state nights.
             db_max_connections: 64,
-            conns_per_task: 4,
-            tasks: Vec::new(),
-            region_rows: Vec::new(),
+            conns_per_task: spec.conns_per_task,
+            tasks,
+            region_rows,
         }
+    }
+
+    /// An environment for synthetic DAGs (tests, benches) that use no
+    /// nightly-specific steps.
+    pub fn synthetic() -> Self {
+        CycleEnv::new(&NightlySpec::default(), Vec::new(), Vec::new())
     }
 }
 

@@ -11,35 +11,19 @@ use crate::breaker::BreakerConfig;
 use crate::engine::{CycleEnv, DeadlinePolicy, Engine, FailoverPolicy};
 use crate::faults::FaultPlan;
 use crate::step::{BytesSpec, Dag, RetryPolicy, StepKind, StepSpec};
-use epiflow_hpcsim::cluster::{ClusterSpec, Site};
-use epiflow_hpcsim::globus::GlobusLink;
+use epiflow_hpcsim::cluster::Site;
 use epiflow_hpcsim::schedule::PackAlgo;
 use epiflow_hpcsim::slurm::CheckpointPolicy;
 use epiflow_hpcsim::task::Task;
 
-/// Static configuration of the nightly cycle (everything except the
-/// night's task list).
+/// What a caller varies about the nightly cycle. The clusters, links
+/// and database bound are the paper's fixed deployment
+/// ([`CycleEnv::new`]); the step durations and transfer retries are the
+/// constants below.
 #[derive(Clone, Debug)]
 pub struct NightlySpec {
-    pub link: GlobusLink,
-    pub remote: ClusterSpec,
-    /// The home cluster — failover target when the remote night is
-    /// lost.
-    pub home: ClusterSpec,
-    /// Slow secondary route used when the primary link's breaker is
-    /// open, and as the hedge target.
-    pub fallback_link: GlobusLink,
     pub algo: PackAlgo,
-    /// Per-region database connection bound B(r).
-    pub db_max_connections: usize,
     pub conns_per_task: usize,
-    /// Seconds of analyst + tooling time to generate configurations.
-    pub config_gen_secs: f64,
-    /// Seconds of analytics time on the home cluster after return.
-    pub analysis_secs: f64,
-    /// Retry policy for the two Globus transfers (the other steps run
-    /// in-cluster and are not retried at this level).
-    pub transfer_retry: RetryPolicy,
     /// Cross-cluster failover + hedging (off by default — the classic
     /// engine).
     pub failover: FailoverPolicy,
@@ -53,26 +37,25 @@ pub struct NightlySpec {
 impl Default for NightlySpec {
     fn default() -> Self {
         NightlySpec {
-            link: GlobusLink::default(),
-            remote: ClusterSpec::bridges(),
-            home: ClusterSpec::rivanna(),
-            fallback_link: GlobusLink { bandwidth_bps: 50e6, overhead_secs: 60.0 },
             algo: PackAlgo::FfdtDc,
-            db_max_connections: 64,
             conns_per_task: 4,
-            config_gen_secs: 2.0 * 3600.0,
-            analysis_secs: 3.0 * 3600.0,
-            // The operations team re-submitted dropped transfers; five
-            // tries with two-minute exponential backoff comfortably
-            // covers the observed drop rates without breaking the
-            // window.
-            transfer_retry: RetryPolicy::retries(4, 120.0),
             failover: FailoverPolicy::default(),
             breaker: BreakerConfig::default(),
             checkpoint: CheckpointPolicy::default(),
         }
     }
 }
+
+/// Seconds of analyst + tooling time to generate configurations.
+const CONFIG_GEN_SECS: f64 = 2.0 * 3600.0;
+/// Seconds of analytics time on the home cluster after return.
+const ANALYSIS_SECS: f64 = 3.0 * 3600.0;
+/// Retry policy for the two Globus transfers (the other steps run
+/// in-cluster and are not retried at this level). The operations team
+/// re-submitted dropped transfers; five tries with two-minute
+/// exponential backoff comfortably covers the observed drop rates
+/// without breaking the window.
+const TRANSFER_RETRY: RetryPolicy = RetryPolicy::retries(4, 120.0);
 
 /// Build the nightly DAG and wrap it in an engine.
 ///
@@ -92,7 +75,7 @@ pub fn nightly_engine(
         name: "generate simulation configurations".into(),
         site: Site::Home,
         automated: false,
-        kind: StepKind::Fixed { secs: spec.config_gen_secs },
+        kind: StepKind::Fixed { secs: CONFIG_GEN_SECS },
         deps: vec![],
         retry: RetryPolicy::none(),
     });
@@ -107,7 +90,7 @@ pub fn nightly_engine(
             label: "daily configs".into(),
         },
         deps: vec![gen],
-        retry: spec.transfer_retry,
+        retry: TRANSFER_RETRY,
     });
     let db = dag.add(StepSpec {
         name: "instantiate population database snapshots".into(),
@@ -144,31 +127,20 @@ pub fn nightly_engine(
             label: "summaries".into(),
         },
         deps: vec![collect],
-        retry: spec.transfer_retry,
+        retry: TRANSFER_RETRY,
     });
     dag.add(StepSpec {
         name: "analytics, projections, briefing products".into(),
         site: Site::Home,
         automated: false,
-        kind: StepKind::Fixed { secs: spec.analysis_secs },
+        kind: StepKind::Fixed { secs: ANALYSIS_SECS },
         deps: vec![back],
         retry: RetryPolicy::none(),
     });
 
-    let env = CycleEnv {
-        link: spec.link.clone(),
-        remote: spec.remote.clone(),
-        home: spec.home.clone(),
-        fallback_link: spec.fallback_link.clone(),
-        algo: spec.algo,
-        db_max_connections: spec.db_max_connections,
-        conns_per_task: spec.conns_per_task,
-        tasks,
-        region_rows,
-    };
     Engine {
         dag,
-        env,
+        env: CycleEnv::new(spec, tasks, region_rows),
         faults,
         deadline,
         failover: spec.failover,

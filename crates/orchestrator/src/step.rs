@@ -29,12 +29,12 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// No retries: the step gets exactly one attempt.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         RetryPolicy::retries(0, 0.0)
     }
 
     /// `max_retries` retries with exponential backoff from `base_secs`.
-    pub fn retries(max_retries: u32, base_secs: f64) -> Self {
+    pub const fn retries(max_retries: u32, base_secs: f64) -> Self {
         RetryPolicy { max_retries, base_backoff_secs: base_secs }
     }
 

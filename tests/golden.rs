@@ -439,8 +439,8 @@ fn min_db_bound(run: &RunResult) -> usize {
 fn classic_link_db_faults() -> RunResult {
     let reg = RegionRegistry::new();
     let wf = link_db_faults(false);
-    let quiet_bound = wf.db_max_connections / wf.workload.db_connections_per_task;
     let engine = wf.engine(&reg, Scale::default());
+    let quiet_bound = engine.env.db_max_connections / engine.env.conns_per_task;
     let run = engine.run();
     let transfer_failures = run
         .events
