@@ -600,21 +600,24 @@ impl Intervention for PulsingShutdown {
         if ctx.tick < self.start {
             return;
         }
-        let period = self.on_days + self.off_days;
-        let offset = ctx.tick - self.start;
+        // In u64 so long pulses cannot overflow; a zero-length period
+        // (a deserialized config can carry one) acts like `off_days = 1`,
+        // which, with `on_days = 0`, never closes anything.
+        let period = (u64::from(self.on_days) + u64::from(self.off_days)).max(1);
+        let offset = u64::from(ctx.tick - self.start);
         let phase = offset % period;
         let pulse = offset / period;
         if phase == 0 {
             // Pulse begins: re-sample compliance for this pulse.
             for v in 0..ctx.state.n_nodes() as u32 {
-                if hash_prob(ctx.seed ^ (pulse as u64) << 32, 0x5053, v) < self.compliance {
+                if hash_prob(ctx.seed ^ pulse << 32, 0x5053, v) < self.compliance {
                     ctx.state.set_flag(v, flags::SH_COMPLIANT);
                 } else {
                     ctx.state.clear_flag(v, flags::SH_COMPLIANT);
                 }
             }
         }
-        let want = phase < self.on_days;
+        let want = phase < u64::from(self.on_days);
         if ctx.state.stay_home_active != want {
             ctx.state.stay_home_active = want;
             ctx.state.scheduled_changes += 1;
@@ -852,6 +855,36 @@ mod tests {
         assert!(active[10] && active[11] && active[12]);
         assert!(!active[13] && !active[14]);
         assert!(active[15]);
+    }
+
+    #[test]
+    fn degenerate_pulses_neither_divide_by_zero_nor_overflow() {
+        let net = work_clique(4);
+        let rt = RuntimeNet::build(&net);
+        let model = sir_model(0.5, 5.0);
+        let run = |on_days: u32, off_days: u32| {
+            let mut st = SimState::new(4, net.edges.len(), 0);
+            let mut ps = PulsingShutdown::new(10, on_days, off_days, 1.0);
+            (0..20)
+                .map(|t| {
+                    let mut ctx = InterventionCtx {
+                        tick: t,
+                        state: &mut st,
+                        net: &rt,
+                        model: &model,
+                        recent: &[],
+                        seed: 1,
+                    };
+                    ps.apply(&mut ctx);
+                    st.stay_home_active
+                })
+                .collect::<Vec<bool>>()
+        };
+        // A zero-length pulse never closes anything.
+        assert!(run(0, 0).iter().all(|&a| !a));
+        // A pulse longer than u32 can count stays closed from `start` on.
+        let long = run(u32::MAX, 1);
+        assert!(long[..10].iter().all(|&a| !a) && long[10..].iter().all(|&a| a));
     }
 
     #[test]
