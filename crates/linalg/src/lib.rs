@@ -9,8 +9,6 @@
 //! * [`Mat`] — a dense row-major `f64` matrix with the usual arithmetic.
 //! * [`cholesky`] — Cholesky factorization with optional jitter for
 //!   near-singular covariance matrices.
-//! * [`lu`] — LU decomposition with partial pivoting, determinants and
-//!   general linear solves.
 //! * [`eigen`] — symmetric eigendecomposition via the cyclic Jacobi method.
 //! * [`pca`] — principal component analysis built on the eigen module,
 //!   used to construct the `pη = 5` eigenvector output basis of the
@@ -23,13 +21,11 @@
 
 pub mod cholesky;
 pub mod eigen;
-pub mod lu;
 pub mod mat;
 pub mod pca;
 
 pub use cholesky::{cholesky, cholesky_jitter, Cholesky};
 pub use eigen::{symmetric_eigen, SymmetricEigen};
-pub use lu::{lu, Lu};
 pub use mat::Mat;
 pub use pca::{pca, Pca};
 
