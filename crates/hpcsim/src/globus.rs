@@ -89,21 +89,20 @@ impl Default for LinkFaults {
     }
 }
 
-/// FNV-1a over the label, mixed with the seed and attempt number, then
-/// finished with the SplitMix64 avalanche.
-fn mix(seed: u64, label: &str, attempt: u32) -> u64 {
+/// Deterministic draw in `[0, 1)` from `(seed, label, key)`: FNV-1a
+/// over the label mixed with the key, finished with the SplitMix64
+/// avalanche. Every seeded fault in the workflow (link drops here, and
+/// the orchestrator's stragglers and database faults) is one such draw.
+pub fn fault_unit(seed: u64, label: &str, key: u64) -> f64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for b in label.bytes() {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64 + 1));
+    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(key.wrapping_add(1)));
     let mut z = h;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(z: u64) -> f64 {
+    z ^= z >> 31;
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -120,14 +119,14 @@ impl LinkFaults {
 
     /// Does attempt `attempt` of the transfer named `label` drop?
     pub fn attempt_fails(&self, label: &str, attempt: u32) -> bool {
-        self.fail_prob > 0.0 && unit(mix(self.seed, label, attempt)) < self.fail_prob
+        self.fail_prob > 0.0 && fault_unit(self.seed, label, attempt.into()) < self.fail_prob
     }
 
     /// Duration multiplier for attempt `attempt` of the transfer named
     /// `label` (1.0 unless the straggle draw fires).
     pub fn slowdown(&self, label: &str, attempt: u32) -> f64 {
         if self.slow_prob > 0.0
-            && unit(mix(self.seed ^ 0x5851_F42D_4C95_7F2D, label, attempt)) < self.slow_prob
+            && fault_unit(self.seed ^ 0x5851_F42D_4C95_7F2D, label, attempt.into()) < self.slow_prob
         {
             self.slow_factor
         } else {
@@ -139,7 +138,7 @@ impl LinkFaults {
     /// (a drop at 0% or 100% would be indistinguishable from an instant
     /// retry or a success).
     pub fn failure_fraction(&self, label: &str, attempt: u32) -> f64 {
-        0.05 + 0.90 * unit(mix(self.seed ^ 0xD1B5_4A32_D192_ED03, label, attempt))
+        0.05 + 0.90 * fault_unit(self.seed ^ 0xD1B5_4A32_D192_ED03, label, attempt.into())
     }
 }
 

@@ -5,7 +5,7 @@
 //! exactly the faults the interrupted run saw. This is what makes
 //! checkpoint/resume byte-identical to an uninterrupted run.
 
-pub use epiflow_hpcsim::globus::LinkFaults;
+pub use epiflow_hpcsim::globus::{fault_unit, LinkFaults};
 use epiflow_hpcsim::slurm::NodeFailure;
 use serde::{Deserialize, Serialize};
 
@@ -64,22 +64,6 @@ impl FaultPlan {
             && self.straggler_prob <= 0.0
             && self.db_slow_prob <= 0.0
     }
-}
-
-/// Deterministic draw in `[0, 1)` from `(seed, label, key)`: FNV-1a
-/// over the label mixed with the key, finished with the SplitMix64
-/// avalanche.
-pub fn fault_unit(seed: u64, label: &str, key: u64) -> f64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for b in label.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(key.wrapping_add(1)));
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
