@@ -14,8 +14,7 @@ use crate::design::{CellConfig, ExtraIntervention, StudyDesign};
 use epiflow_epihiper::covid::{covid19_model, states};
 use epiflow_epihiper::disease::N_AGE_GROUPS;
 use epiflow_epihiper::interventions::{
-    ContactTracing, PartialReopening, PulsingShutdown, SchoolClosure, StayAtHome, TestAndIsolate,
-    VoluntaryHomeIsolation,
+    base_case, ContactTracing, PartialReopening, PulsingShutdown, TestAndIsolate,
 };
 use epiflow_epihiper::{
     DiseaseModel, InterventionSet, SimConfig, SimContext, SimOutput, SimResult, SimScratch,
@@ -69,14 +68,14 @@ pub fn configure_model(cell: &CellConfig) -> DiseaseModel {
 /// Build the intervention stack for a cell: the base VHI+SC+SH plus any
 /// extras.
 pub fn configure_interventions(cell: &CellConfig) -> InterventionSet {
-    let mut set = InterventionSet::new()
-        .with(Box::new(VoluntaryHomeIsolation {
-            symptomatic: states::SYMPTOMATIC,
-            compliance: cell.vhi_compliance,
-            duration: 14,
-        }))
-        .with(Box::new(SchoolClosure { start: cell.sc_start, end: u32::MAX }))
-        .with(Box::new(StayAtHome::new(cell.sh_start, cell.sh_end, cell.sh_compliance)));
+    let mut set = base_case(
+        states::SYMPTOMATIC,
+        cell.sc_start,
+        cell.sh_start,
+        cell.sh_end,
+        cell.sh_compliance,
+        cell.vhi_compliance,
+    );
     for extra in &cell.extras {
         match *extra {
             ExtraIntervention::Ro { day, level } => {
