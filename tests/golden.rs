@@ -26,6 +26,12 @@
 //!   Two cover the transfer and restore attempts under link drops,
 //!   slow links, database exhaustion and stragglers: one classic, one
 //!   with failover hedging and re-routing around hair-trigger breakers.
+//! * **Synthetic population** — `build_region` at DE 1/100 (three
+//!   counties, the largest holding half the state) and VA 1/500 (133
+//!   counties): every person field, every household's member list,
+//!   every location and every `ContactEdge` field, floats as bit
+//!   patterns. This pins the sampling and dedup order of the builder,
+//!   not just its counts.
 //! * **Calibration** — the GPMSA posterior (θ samples, acceptance,
 //!   final step, λ_ε and λ_δ) of two Metropolis-within-Gibbs runs
 //!   against a toy emulator with t = 70 days, so p_δ = 7. The chain's
@@ -54,8 +60,9 @@ use epiflow::orchestrator::{
     RunResult, StepEffect, StepKind, StepSpec,
 };
 use epiflow::surveillance::{RegionRegistry, Scale};
+use epiflow::synthpop::builder::RegionData;
 use epiflow::synthpop::network::ContactEdge;
-use epiflow::synthpop::{ActivityType, ContactNetwork};
+use epiflow::synthpop::{build_region, ActivityType, BuildConfig, ContactNetwork, Gender};
 
 const PARTITIONS: [usize; 3] = [1, 4, 13];
 const THRESHOLDS: [f64; 3] = [0.0, 0.75, 2.0];
@@ -567,4 +574,68 @@ fn calibration_digests_are_pinned() {
         ));
     }
     assert!(ok, "calibration digests changed; actual:\n{report}");
+}
+
+/// FNV-1a over every person, household, location and edge field of a
+/// built region, floats as bit patterns.
+fn region_digest(data: &RegionData) -> u64 {
+    let mut bytes = Vec::new();
+    for p in &data.population.persons {
+        bytes.extend_from_slice(&p.id.to_le_bytes());
+        bytes.extend_from_slice(&p.household.to_le_bytes());
+        bytes.push(p.age);
+        bytes.push(match p.gender {
+            Gender::Female => 0,
+            Gender::Male => 1,
+        });
+        bytes.extend_from_slice(&p.county.to_le_bytes());
+        bytes.extend_from_slice(&p.home_x.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&p.home_y.to_bits().to_le_bytes());
+    }
+    for members in &data.population.households {
+        bytes.extend_from_slice(&(members.len() as u32).to_le_bytes());
+        members.iter().for_each(|m| bytes.extend_from_slice(&m.to_le_bytes()));
+    }
+    for l in &data.locations.locations {
+        bytes.extend_from_slice(&l.id.to_le_bytes());
+        bytes.push(l.kind.serves().code());
+        bytes.extend_from_slice(&l.county.to_le_bytes());
+        for x in [l.x, l.y, l.weight] {
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    for e in &data.network.edges {
+        bytes.extend_from_slice(&e.u.to_le_bytes());
+        bytes.extend_from_slice(&e.v.to_le_bytes());
+        bytes.extend_from_slice(&e.start.to_le_bytes());
+        bytes.extend_from_slice(&e.duration.to_le_bytes());
+        bytes.push(e.ctx_u.code());
+        bytes.push(e.ctx_v.code());
+        bytes.extend_from_slice(&e.weight.to_bits().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+#[test]
+fn synthpop_digests_are_pinned() {
+    let registry = RegionRegistry::new();
+    let cases: [(&str, f64, u64, u64); 2] =
+        [("DE", 100.0, 7, 0x4538eab8cd3cc3a8), ("VA", 500.0, 11, 0x0c249cb75fc93cba)];
+    let mut report = String::new();
+    let mut ok = true;
+    for (abbrev, per, seed, expected) in cases {
+        let region = registry.by_abbrev(abbrev).unwrap().id;
+        let config = BuildConfig { scale: Scale::one_per(per), seed, ..Default::default() };
+        let data = build_region(&registry, region, &config);
+        let actual = region_digest(&data);
+        ok &= actual == expected;
+        report.push_str(&format!(
+            "{abbrev} 1/{per}: 0x{actual:016x} ({} persons, {} households, {} locations, {} edges)\n",
+            data.population.len(),
+            data.population.households.len(),
+            data.locations.len(),
+            data.network.n_edges()
+        ));
+    }
+    assert!(ok, "synthpop digests changed; actual:\n{report}");
 }
