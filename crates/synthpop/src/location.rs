@@ -86,6 +86,10 @@ pub struct LocationModel {
     pub locations: Vec<Location>,
     /// `by_county_kind[county][kind_index]` → location ids.
     index: Vec<[Vec<LocationId>; 6]>,
+    /// `totals[county][kind_index]` → f32 sum of those locations'
+    /// weights, accumulated in id order, so [`sample`](Self::sample)
+    /// need not re-sum them on every draw.
+    totals: Vec<[f32; 6]>,
 }
 
 fn kind_index(k: LocationKind) -> usize {
@@ -141,7 +145,14 @@ impl LocationModel {
             }
             index.push(slot);
         }
-        LocationModel { locations, index }
+        let totals = index
+            .iter()
+            .map(|slot| {
+                slot.each_ref()
+                    .map(|ids| ids.iter().map(|&id| locations[id as usize].weight).sum::<f32>())
+            })
+            .collect();
+        LocationModel { locations, index, totals }
     }
 
     /// Number of locations.
@@ -175,7 +186,7 @@ impl LocationModel {
         let county = if (county as usize) < self.index.len() { county } else { 0 };
         let ids = self.in_county(county, kind);
         assert!(!ids.is_empty(), "no {kind:?} locations in county {county}");
-        let total: f32 = ids.iter().map(|&id| self.locations[id as usize].weight).sum();
+        let total = self.totals[county as usize][kind_index(kind)];
         let mut draw = rng.random_range(0.0f32..total);
         for &id in ids {
             draw -= self.locations[id as usize].weight;
@@ -262,6 +273,20 @@ mod tests {
             "heaviest sampled {hits}/{n} with {} shops",
             shops.len()
         );
+    }
+
+    #[test]
+    fn cached_totals_match_a_fresh_in_order_sum() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let m = LocationModel::generate(&[9000, 350, 2200, 40], &mut rng);
+        for county in 0..4u16 {
+            for kind in ALL_KINDS {
+                let ids = m.in_county(county, kind);
+                let fresh: f32 = ids.iter().map(|&id| m.location(id).weight).sum();
+                let cached = m.totals[county as usize][kind_index(kind)];
+                assert_eq!(cached.to_bits(), fresh.to_bits(), "county {county} {kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -95,47 +95,56 @@ pub fn derive_network<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ContactNetwork {
     let n = population.len();
-    // Deduplicate by unordered pair, keeping the longest interaction.
-    let mut edge_map: HashMap<(u32, u32), ContactEdge> = HashMap::new();
+    // Every candidate edge in generation order, deduplicated at the end.
+    let mut edges: Vec<ContactEdge> = Vec::new();
 
     // 1. Household cliques: full-day Home contacts.
     for members in &population.households {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
                 let (u, v) = if a < b { (a, b) } else { (b, a) };
-                edge_map.insert(
-                    (u, v),
-                    ContactEdge {
-                        u,
-                        v,
-                        start: 0,
-                        duration: 960, // waking cohabitation hours
-                        ctx_u: ActivityType::Home,
-                        ctx_v: ActivityType::Home,
-                        weight: context_weight(ActivityType::Home, ActivityType::Home),
-                    },
-                );
+                edges.push(ContactEdge {
+                    u,
+                    v,
+                    start: 0,
+                    duration: 960, // waking cohabitation hours
+                    ctx_u: ActivityType::Home,
+                    ctx_v: ActivityType::Home,
+                    weight: context_weight(ActivityType::Home, ActivityType::Home),
+                });
             }
         }
     }
 
-    // 2. Group the day's visits by location. BTreeMap keeps iteration
-    // order deterministic so RNG consumption (and thus the network) is
-    // reproducible for a fixed seed.
-    let mut by_location: std::collections::BTreeMap<u32, Vec<&Visit>> =
-        std::collections::BTreeMap::new();
+    // 2. Group the day's visits by location with a counting sort over the
+    // dense location ids: groups in ascending id order, visits in list
+    // order within a group, so RNG consumption (and thus the network) is
+    // reproducible for a fixed seed. `by_location[offsets[l]..offsets[l + 1]]`
+    // indexes the visits at location `l`.
+    let mut offsets = vec![0usize; locations.len() + 1];
     for v in visits.iter().filter(|v| v.day == day) {
-        by_location.entry(v.location).or_default().push(v);
+        offsets[v.location as usize + 1] += 1;
+    }
+    for l in 0..locations.len() {
+        offsets[l + 1] += offsets[l];
+    }
+    let mut by_location = vec![0u32; offsets[locations.len()]];
+    let mut cursor = offsets.clone();
+    for (i, v) in visits.iter().enumerate().filter(|(_, v)| v.day == day) {
+        by_location[cursor[v.location as usize]] = u32::try_from(i).expect("visit index fits u32");
+        cursor[v.location as usize] += 1;
     }
 
     // 3. Sub-location contact sampling.
-    for (loc_id, group) in &by_location {
+    for (loc_id, bounds) in offsets.windows(2).enumerate() {
+        let group = &by_location[bounds[0]..bounds[1]];
         if group.len() < 2 {
             continue;
         }
-        let kind = locations.location(*loc_id).kind;
+        let kind = locations.location(loc_id as u32).kind;
         let budget = contact_budget(kind);
-        for (i, visit) in group.iter().enumerate() {
+        for (i, &vi) in group.iter().enumerate() {
+            let visit = &visits[vi as usize];
             // Sample up to `budget` candidate partners; keep those with
             // temporal overlap. O(V · budget) instead of O(V²).
             for _ in 0..budget {
@@ -143,7 +152,7 @@ pub fn derive_network<R: Rng + ?Sized>(
                 if j == i {
                     continue;
                 }
-                let other = group[j];
+                let other = &visits[group[j] as usize];
                 if other.person == visit.person {
                     continue;
                 }
@@ -163,7 +172,7 @@ pub fn derive_network<R: Rng + ?Sized>(
                 } else {
                     (other.person, visit.person, other.activity, visit.activity)
                 };
-                let edge = ContactEdge {
+                edges.push(ContactEdge {
                     u,
                     v,
                     start: lo,
@@ -171,23 +180,29 @@ pub fn derive_network<R: Rng + ?Sized>(
                     ctx_u: cu,
                     ctx_v: cv,
                     weight: context_weight(cu, cv),
-                };
-                edge_map
-                    .entry((u, v))
-                    .and_modify(|e| {
-                        if overlap > e.duration {
-                            *e = edge;
-                        }
-                    })
-                    .or_insert(edge);
+                });
             }
         }
     }
 
-    let mut edges: Vec<ContactEdge> = edge_map.into_values().collect();
-    // Deterministic ordering regardless of hash iteration order.
-    edges.sort_by_key(|e| (e.u, e.v));
-    ContactNetwork { n_nodes: n, edges }
+    ContactNetwork { n_nodes: n, edges: dedup_pairs(edges) }
+}
+
+/// One edge per unordered pair, sorted by `(u, v)`: the first candidate
+/// of maximal duration in `candidates` order. The sort is stable, so
+/// within a pair `kept` is the earliest candidate and a later one
+/// replaces it only when strictly longer.
+fn dedup_pairs(mut candidates: Vec<ContactEdge>) -> Vec<ContactEdge> {
+    candidates.sort_by_key(|e| (e.u, e.v));
+    candidates.dedup_by(|later, kept| {
+        let same = (later.u, later.v) == (kept.u, kept.v);
+        if same && later.duration > kept.duration {
+            *kept = *later;
+        }
+        same
+    });
+    candidates.shrink_to_fit();
+    candidates
 }
 
 impl ContactNetwork {
@@ -470,6 +485,96 @@ mod tests {
             context_weight(ActivityType::Home, ActivityType::Home)
                 > context_weight(ActivityType::Shopping, ActivityType::Shopping)
         );
+    }
+
+    fn meeting(u: u32, v: u32, start: u16, duration: u16, ctx: [ActivityType; 2]) -> ContactEdge {
+        ContactEdge {
+            u,
+            v,
+            start,
+            duration,
+            ctx_u: ctx[0],
+            ctx_v: ctx[1],
+            weight: context_weight(ctx[0], ctx[1]),
+        }
+    }
+
+    #[test]
+    fn equal_overlap_keeps_the_first_meeting() {
+        use ActivityType::{Other, Shopping, Work};
+        let edges = dedup_pairs(vec![
+            meeting(0, 1, 100, 60, [Shopping, Work]),
+            meeting(2, 3, 50, 30, [Other, Other]),
+            meeting(0, 1, 300, 60, [Other, Other]),
+        ]);
+        assert_eq!(edges.len(), 2);
+        assert_eq!(edges[0], meeting(0, 1, 100, 60, [Shopping, Work]));
+        assert_eq!(edges[1], meeting(2, 3, 50, 30, [Other, Other]));
+    }
+
+    #[test]
+    fn strictly_longer_later_meeting_replaces() {
+        use ActivityType::{Other, Shopping, Work};
+        let edges = dedup_pairs(vec![
+            meeting(4, 7, 100, 60, [Shopping, Work]),
+            meeting(4, 7, 300, 90, [Work, Work]),
+            meeting(4, 7, 500, 90, [Other, Other]),
+            meeting(4, 7, 600, 20, [Other, Shopping]),
+        ]);
+        assert_eq!(edges, vec![meeting(4, 7, 300, 90, [Work, Work])]);
+    }
+
+    #[test]
+    fn household_edge_survives_a_shorter_visit_contact() {
+        // One household of two coworkers who overlap for 480 minutes, so
+        // the workplace contact fires on every draw that picks the other.
+        let pop = mini_pop(2, 2);
+        let mut rng = StdRng::seed_from_u64(9);
+        let locs = LocationModel::generate(&[2], &mut rng);
+        let loc = locs.in_county(0, LocationKind::Workplace)[0];
+        let visits: Vec<Visit> = (0..2)
+            .map(|i| Visit {
+                person: i,
+                location: loc,
+                day: 2,
+                start: 540,
+                duration: 480,
+                activity: ActivityType::Work,
+            })
+            .collect();
+        let net = derive_network(&pop, &visits, &locs, 2, &mut rng);
+        let home = [ActivityType::Home, ActivityType::Home];
+        assert_eq!(net.edges, vec![meeting(0, 1, 0, 960, home)]);
+    }
+
+    #[test]
+    fn no_visits_on_the_day_gives_exactly_the_household_cliques() {
+        let pop = mini_pop(7, 3);
+        let home = [ActivityType::Home, ActivityType::Home];
+        let cliques: Vec<ContactEdge> = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+            .into_iter()
+            .map(|(u, v)| meeting(u, v, 0, 960, home))
+            .collect();
+        // No visits at all, against a model with no locations.
+        let empty =
+            derive_network(&pop, &[], &LocationModel::default(), 2, &mut StdRng::seed_from_u64(1));
+        assert_eq!(empty.edges, cliques);
+        assert_eq!(empty.n_nodes, 7);
+        // Visits only on another day.
+        let locs = LocationModel::generate(&[7], &mut StdRng::seed_from_u64(2));
+        let loc = locs.in_county(0, LocationKind::Shop)[0];
+        let visits: Vec<Visit> = (0..7)
+            .map(|i| Visit {
+                person: i,
+                location: loc,
+                day: 5,
+                start: 600,
+                duration: 300,
+                activity: ActivityType::Shopping,
+            })
+            .collect();
+        let net = derive_network(&pop, &visits, &locs, 2, &mut StdRng::seed_from_u64(3));
+        assert_eq!(net.edges, cliques);
     }
 
     #[test]
