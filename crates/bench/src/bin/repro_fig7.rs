@@ -13,6 +13,10 @@
 //!          +TA, +PS, +D1CT, +D2CT — projected at deployment scale from
 //!          epidemic activity profiles measured in real runs; the paper
 //!          reports D2CT ≈ +300%.
+//!
+//! It also prints the wall time of partitioning CA into 168 parts next
+//! to one 300-tick run, for §VI's claim that partitioning costs more
+//! than a run (see EXPERIMENTS.md: it does not hold at this scale).
 
 use epiflow_bench::{print_row, region, run_covid};
 use epiflow_epihiper::covid::states;
@@ -24,10 +28,25 @@ use epiflow_epihiper::scaling::{
 };
 use epiflow_epihiper::InterventionSet;
 use epiflow_surveillance::RegionRegistry;
+use std::hint::black_box;
+use std::time::Instant;
 
 fn median_secs(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     xs[xs.len() / 2]
+}
+
+/// Median wall time of `reps` calls of `f`.
+fn median_wall_secs(reps: u64, mut f: impl FnMut()) -> f64 {
+    median_secs(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 fn main() {
@@ -162,4 +181,27 @@ fn main() {
         );
     }
     println!("  [paper: RO and TA marginal; PS and D1CT significant; D2CT ≈ +300%]");
+
+    // --- §VI: partitioning vs one run ---------------------------------
+    println!("\n§VI — partitioning cost vs one simulation run (measured, CA 1/1000)");
+    let data = region(&reg, "CA", 1000.0);
+    let t_part = median_wall_secs(reps, || {
+        black_box(partition_network(black_box(&data.network), 168, 16));
+    });
+    let t_run = median_wall_secs(reps, || {
+        black_box(run_covid(&data, InterventionSet::new(), 300, 4, 1));
+    });
+    println!(
+        "  {} nodes, {} edges: partitioning into 168 parts {:.2} ms, one 300-tick run at 4 partitions {:.1} ms",
+        data.network.n_nodes,
+        data.network.n_edges(),
+        t_part * 1e3,
+        t_run * 1e3
+    );
+    let verdict = if t_part > t_run { "holds" } else { "does not hold at this scale" };
+    println!(
+        "  partition / run = {:.3}  [paper: partitioning costs more than a run (> 1);\n\
+         \u{20}  the claim {verdict}]",
+        t_part / t_run
+    );
 }

@@ -1,6 +1,6 @@
-//! Shared helpers for the benchmark harness and the `repro_*` binaries
-//! (one per table/figure of the paper; see DESIGN.md §5 and
-//! EXPERIMENTS.md).
+//! Shared helpers for the `repro_*` binaries (one per table/figure of
+//! the paper; see DESIGN.md §5 and EXPERIMENTS.md) and the two
+//! `BENCH_*.json` writers.
 
 use epiflow_epihiper::covid::covid19_model;
 use epiflow_epihiper::{InterventionSet, SimConfig, SimResult, Simulation};
@@ -19,7 +19,9 @@ pub fn region(registry: &RegionRegistry, abbrev: &str, per: f64) -> RegionData {
 }
 
 /// Run a COVID-19 simulation on a region with the given interventions
-/// and tick/partition settings (see [`covid_sim`]).
+/// and tick/partition settings. Transmissibility is raised to 0.35 so
+/// scaled-down networks still produce brisk epidemics (sparser networks
+/// need a higher per-contact rate for the same R).
 pub fn run_covid(
     data: &RegionData,
     interventions: InterventionSet,
@@ -27,20 +29,6 @@ pub fn run_covid(
     n_partitions: usize,
     seed: u64,
 ) -> SimResult {
-    covid_sim(data, interventions, ticks, n_partitions, seed).run()
-}
-
-/// Build, without running, the COVID-19 simulation [`run_covid`] runs.
-/// Transmissibility is raised to 0.35 so scaled-down networks still
-/// produce brisk epidemics (sparser networks need a higher per-contact
-/// rate for the same R).
-pub fn covid_sim(
-    data: &RegionData,
-    interventions: InterventionSet,
-    ticks: u32,
-    n_partitions: usize,
-    seed: u64,
-) -> Simulation {
     let n = data.population.len();
     let age: Vec<u8> =
         data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
@@ -62,7 +50,7 @@ pub fn covid_sim(
         },
     );
     sim.model.transmissibility = 0.35;
-    sim
+    sim.run()
 }
 
 /// The commit being measured: `git rev-parse HEAD`, else `GIT_COMMIT`
@@ -126,9 +114,6 @@ pub fn sparkline(values: &[f64]) -> String {
     let span = (max - min).max(1e-12);
     values.iter().map(|v| BARS[(((v - min) / span) * 7.0).round() as usize]).collect()
 }
-
-/// Re-export `Scale` for binaries.
-pub use epiflow_surveillance::Scale as BenchScale;
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,9 @@
 //! a partition, continue to allocate nodes to that partition until the
 //! number of incoming edges is greater than a threshold (E/P + ε)" —
 //! because even it takes significant compute time at national scale
-//! (over an hour for California), and caches the result on disk.
+//! (over an hour for California), and caches the result on disk. Here
+//! it is computed once per ⟨network, partition count⟩ and kept in
+//! memory in a `SimContext` that every replicate shares.
 //!
 //! Because nodes are assigned in id order, partitions come out as
 //! contiguous node ranges, which is also the cache-friendliest layout
@@ -82,50 +84,6 @@ impl Partitioning {
         } else {
             max / mean
         }
-    }
-
-    /// Serialize to a compact text form for the on-disk cache.
-    pub fn to_cache_string(&self) -> String {
-        let mut s = String::new();
-        for (r, c) in self.ranges.iter().zip(&self.edge_counts) {
-            s.push_str(&format!("{} {} {}\n", r.start, r.end, c));
-        }
-        s
-    }
-
-    /// Parse a cache entry written by [`Partitioning::to_cache_string`].
-    pub fn from_cache_string(s: &str) -> Result<Partitioning, String> {
-        let mut ranges = Vec::new();
-        let mut edge_counts = Vec::new();
-        for (i, line) in s.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let mut next = |what: &str| -> Result<u64, String> {
-                it.next()
-                    .ok_or_else(|| format!("line {}: missing {what}", i + 1))?
-                    .parse()
-                    .map_err(|_| format!("line {}: bad {what}", i + 1))
-            };
-            let start = next("start")? as u32;
-            let end = next("end")? as u32;
-            let count = next("count")? as usize;
-            if end < start {
-                return Err(format!("line {}: inverted range", i + 1));
-            }
-            ranges.push(start..end);
-            edge_counts.push(count);
-        }
-        // Ranges must be contiguous from 0.
-        let mut expect = 0u32;
-        for r in &ranges {
-            if r.start != expect {
-                return Err(format!("ranges not contiguous at {}", r.start));
-            }
-            expect = r.end;
-        }
-        Ok(Partitioning { ranges, edge_counts })
     }
 }
 
@@ -281,22 +239,6 @@ mod tests {
         let tight = partition_network(&net, 10, 0);
         let loose = partition_network(&net, 10, 400);
         assert!(loose.len() <= tight.len());
-    }
-
-    #[test]
-    fn cache_round_trip() {
-        let net = path_network(256);
-        let p = partition_network(&net, 5, 0);
-        let s = p.to_cache_string();
-        let q = Partitioning::from_cache_string(&s).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn cache_rejects_gaps() {
-        assert!(Partitioning::from_cache_string("0 10 5\n12 20 3\n").is_err());
-        assert!(Partitioning::from_cache_string("0 10\n").is_err());
-        assert!(Partitioning::from_cache_string("5 2 1\n").is_err());
     }
 
     #[test]
