@@ -19,11 +19,7 @@ use epiflow_synthpop::{build_region, BuildConfig};
 fn main() {
     let reg = RegionRegistry::new();
     let va = reg.by_abbrev("VA").unwrap().id;
-    let data = build_region(
-        &reg,
-        va,
-        &BuildConfig { scale: Scale::one_per(2000.0), seed: 0x5EED, ..Default::default() },
-    );
+    let data = build_region(&reg, va, &BuildConfig { scale: Scale::one_per(2000.0), seed: 0x5EED });
     println!(
         "Virginia at 1/2000 scale: {} persons, {} contact edges\n",
         data.population.len(),
@@ -59,14 +55,8 @@ fn main() {
         base: base.clone(),
         n_posterior: 100,
         gpmsa: GpmsaConfig {
-            mcmc: MetropolisConfig {
-                iterations: 4000,
-                burn_in: 1000,
-                seed: 21,
-                ..Default::default()
-            },
+            mcmc: MetropolisConfig { iterations: 4000, burn_in: 1000, seed: 21 },
             gibbs_sweeps: 3,
-            ..Default::default()
         },
         ..Default::default()
     };

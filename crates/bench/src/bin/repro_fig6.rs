@@ -19,8 +19,7 @@ fn main() {
         .regions()
         .par_iter()
         .map(|r| {
-            let data =
-                build_region(&reg, r.id, &BuildConfig { scale, seed: 0x516, ..Default::default() });
+            let data = build_region(&reg, r.id, &BuildConfig { scale, seed: 0x516 });
             (r.abbrev.to_string(), data.network.n_nodes, data.network.n_edges())
         })
         .collect();

@@ -6,9 +6,12 @@
 //!          medium-to-large networks. Wall-clock scaling cannot be
 //!          measured on a single-core host, so this panel projects
 //!          runtimes with the BSP/MPI cost model of
-//!          `epihiper::scaling`, calibrated to the *measured* serial
-//!          throughput of this machine and fed the *real* ghost-edge
-//!          structure of each partitioning (see DESIGN.md §3);
+//!          `epihiper::scaling` at its fixed default per-edge cost, fed
+//!          the *real* ghost-edge structure of each partitioning (see
+//!          DESIGN.md §3). The measured serial throughput of this
+//!          machine is printed on its own timing line for comparison
+//!          and does not enter the projection, so the panel prints the
+//!          same bytes on every run;
 //! (bottom) runtime vs intervention stack — base (VHI+SC+SH), +RO,
 //!          +TA, +PS, +D1CT, +D2CT — projected at deployment scale from
 //!          epidemic activity profiles measured in real runs; the paper
@@ -86,7 +89,7 @@ fn main() {
         cov / (vx.sqrt() * vy.sqrt())
     );
 
-    // --- calibrate the cost model from a measured serial run ----------
+    // --- measured serial throughput, next to the model's constant -----
     let calib_data = region(&reg, "VA", 500.0);
     let serial = median_secs(
         (0..reps)
@@ -95,12 +98,13 @@ fn main() {
             })
             .collect(),
     );
-    let model =
-        MpiCostModel::default().calibrate_per_edge(serial, calib_data.network.n_edges() * 2, ticks);
+    let in_edges = (calib_data.network.n_edges() * 2) as f64 * ticks as f64;
     println!(
-        "cost model calibrated on measured serial run: {:.1} ns/in-edge\n",
-        model.per_edge_secs * 1e9
+        "measured serial run (wall time, VA 1/500): {:.1} ns/in-edge",
+        serial / in_edges * 1e9
     );
+    let model = MpiCostModel::default();
+    println!("cost model: {:.1} ns/in-edge (fixed)\n", model.per_edge_secs * 1e9);
 
     // --- (middle) projected strong scaling ----------------------------
     println!("Fig. 7 (middle) — strong scaling (projected, real partition structure)");
@@ -160,8 +164,7 @@ fn main() {
         frac_asym * 100.0
     );
     let ranks = 112; // 4 nodes × 28 cores
-    let base_tick = n_deploy as f64 * activity.mean_degree * MpiCostModel::default().per_edge_secs
-        / ranks as f64;
+    let base_tick = n_deploy as f64 * activity.mean_degree * model.per_edge_secs / ranks as f64;
     print_row(&["stack", "tick (ms)", "vs base"], &[16, 11, 9]);
     let stacks: [(&str, Stack); 6] = [
         ("base(VHI+SC+SH)", Stack::Base),
@@ -172,8 +175,7 @@ fn main() {
         ("base+D2CT", Stack::D2ct { detection: 0.5 }),
     ];
     for (name, stack) in stacks {
-        let extra = intervention_tick_cost(stack, &activity, &MpiCostModel::default(), ranks)
-            / ranks as f64;
+        let extra = intervention_tick_cost(stack, &activity, &model, ranks) / ranks as f64;
         let t = base_tick + extra;
         print_row(
             &[name, &format!("{:.2}", t * 1e3), &format!("{:.2}×", t / base_tick)],

@@ -11,11 +11,7 @@ use epiflow_synthpop::{build_region, BuildConfig};
 /// Build one region at `1/per` scale with a fixed seed.
 pub fn region(registry: &RegionRegistry, abbrev: &str, per: f64) -> RegionData {
     let id = registry.by_abbrev(abbrev).unwrap_or_else(|| panic!("unknown region {abbrev}")).id;
-    build_region(
-        registry,
-        id,
-        &BuildConfig { scale: Scale::one_per(per), seed: 0x5EED, ..Default::default() },
-    )
+    build_region(registry, id, &BuildConfig { scale: Scale::one_per(per), seed: 0x5EED })
 }
 
 /// Run a COVID-19 simulation on a region with the given interventions

@@ -112,7 +112,7 @@ mod tests {
             toy_sim,
             &observed,
             0.2,
-            &MetropolisConfig { iterations: 4000, burn_in: 1000, seed: 31, ..Default::default() },
+            &MetropolisConfig { iterations: 4000, burn_in: 1000, seed: 31 },
         );
         let mean = post.theta.mean();
         assert!((mean[0] - truth[0]).abs() < 0.01, "rate {} vs {}", mean[0], truth[0]);
@@ -129,7 +129,7 @@ mod tests {
             toy_sim,
             &observed,
             0.2,
-            &MetropolisConfig { iterations: 3000, burn_in: 800, seed: 13, ..Default::default() },
+            &MetropolisConfig { iterations: 3000, burn_in: 800, seed: 13 },
         );
         let sd = post.theta.std_dev();
         // Uniform prior sd on [0.02, 0.2] is 0.052; the posterior should

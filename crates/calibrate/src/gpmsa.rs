@@ -34,10 +34,6 @@ use rand_distr::{Distribution, Gamma};
 /// Configuration of the calibration run.
 #[derive(Clone, Debug)]
 pub struct GpmsaConfig {
-    /// Discrepancy kernel standard deviation in days (paper: 15).
-    pub kernel_sd: f64,
-    /// Kernel spacing in days (paper: 10).
-    pub kernel_spacing: f64,
     /// MCMC settings for the θ chain.
     pub mcmc: MetropolisConfig,
     /// Gibbs sweeps for the precision parameters.
@@ -46,12 +42,7 @@ pub struct GpmsaConfig {
 
 impl Default for GpmsaConfig {
     fn default() -> Self {
-        GpmsaConfig {
-            kernel_sd: 15.0,
-            kernel_spacing: 10.0,
-            mcmc: MetropolisConfig::default(),
-            gibbs_sweeps: 4,
-        }
+        GpmsaConfig { mcmc: MetropolisConfig::default(), gibbs_sweeps: 4 }
     }
 }
 
@@ -75,14 +66,19 @@ pub struct GpmsaCalibration<'a> {
     basis: Mat,
 }
 
+/// Discrepancy kernel standard deviation in days (paper: 15).
+const KERNEL_SD: f64 = 15.0;
+/// Kernel spacing in days (paper: 10).
+const KERNEL_SPACING: f64 = 10.0;
+
 /// Build the discrepancy basis: normal kernels over the time axis.
-fn discrepancy_basis(t_len: usize, sd: f64, spacing: f64) -> Mat {
-    let p_delta = ((t_len as f64 / spacing).ceil() as usize).max(1);
+fn discrepancy_basis(t_len: usize) -> Mat {
+    let p_delta = ((t_len as f64 / KERNEL_SPACING).ceil() as usize).max(1);
     let mut d = Mat::zeros(t_len, p_delta);
     for k in 0..p_delta {
-        let center = k as f64 * spacing;
+        let center = k as f64 * KERNEL_SPACING;
         for t in 0..t_len {
-            let z = (t as f64 - center) / sd;
+            let z = (t as f64 - center) / KERNEL_SD;
             d[(t, k)] = (-0.5 * z * z).exp();
         }
     }
@@ -98,7 +94,7 @@ impl<'a> GpmsaCalibration<'a> {
             emulator.t_len,
             "observed series must match emulator output length"
         );
-        let basis = discrepancy_basis(emulator.t_len, config.kernel_sd, config.kernel_spacing);
+        let basis = discrepancy_basis(emulator.t_len);
         GpmsaCalibration { emulator, observed, config, basis }
     }
 
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn basis_shape_matches_paper() {
         // 70 days / spacing 10 → 7 kernels, the paper's p_δ = 7.
-        let d = discrepancy_basis(70, 15.0, 10.0);
+        let d = discrepancy_basis(70);
         assert_eq!(d.ncols(), 7);
         assert_eq!(d.nrows(), 70);
         // Kernel 0 peaks at t = 0.
@@ -368,14 +364,8 @@ mod tests {
             &em,
             &observed,
             GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 3000,
-                    burn_in: 800,
-                    seed: 17,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 3000, burn_in: 800, seed: 17 },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
         );
         let post = cal.run();
@@ -401,14 +391,8 @@ mod tests {
             &em,
             &observed,
             GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 2500,
-                    burn_in: 600,
-                    seed: 5,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 2500, burn_in: 600, seed: 5 },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
         );
         let post = cal.run();
@@ -425,14 +409,8 @@ mod tests {
             &em,
             &observed,
             GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 2000,
-                    burn_in: 500,
-                    seed: 9,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 2000, burn_in: 500, seed: 9 },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
         );
         let post = cal.run();
@@ -460,14 +438,8 @@ mod tests {
             &em,
             &observed,
             GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 800,
-                    burn_in: 200,
-                    seed: 2,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 800, burn_in: 200, seed: 2 },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
         );
         let post = cal.run();

@@ -4,6 +4,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, StandardNormal};
 
+/// Keep every `THIN`-th post-burn-in sample.
+const THIN: usize = 2;
+/// Initial per-dimension proposal standard deviation (in the unit
+/// cube). The step adapts toward ~30% acceptance during burn-in.
+const INITIAL_STEP: f64 = 0.08;
+
 /// Random-walk Metropolis configuration.
 #[derive(Clone, Debug)]
 pub struct MetropolisConfig {
@@ -11,26 +17,12 @@ pub struct MetropolisConfig {
     pub iterations: usize,
     /// Burn-in iterations discarded from the chain.
     pub burn_in: usize,
-    /// Keep every `thin`-th post-burn-in sample.
-    pub thin: usize,
-    /// Initial per-dimension proposal standard deviation (in the unit
-    /// cube).
-    pub step: f64,
-    /// Adapt the step size toward ~30% acceptance during burn-in.
-    pub adapt: bool,
     pub seed: u64,
 }
 
 impl Default for MetropolisConfig {
     fn default() -> Self {
-        MetropolisConfig {
-            iterations: 4000,
-            burn_in: 1000,
-            thin: 2,
-            step: 0.08,
-            adapt: true,
-            seed: 1,
-        }
+        MetropolisConfig { iterations: 4000, burn_in: 1000, seed: 1 }
     }
 }
 
@@ -130,7 +122,7 @@ where
     }
     assert!(current_lp.is_finite(), "could not find a valid starting point");
 
-    let mut step = config.step;
+    let mut step = INITIAL_STEP;
     let mut accepted = 0usize;
     let mut window_accepted = 0usize;
     let mut samples = Vec::new();
@@ -162,7 +154,7 @@ where
             window_accepted += 1;
         }
         // Step adaptation during burn-in (Robbins–Monro-flavored).
-        if config.adapt && it < config.burn_in && (it + 1) % 50 == 0 {
+        if it < config.burn_in && (it + 1) % 50 == 0 {
             let rate = window_accepted as f64 / 50.0;
             if rate < 0.2 {
                 step *= 0.8;
@@ -172,7 +164,7 @@ where
             step = step.clamp(1e-4, 0.5);
             window_accepted = 0;
         }
-        if it >= config.burn_in && (it - config.burn_in).is_multiple_of(config.thin.max(1)) {
+        if it >= config.burn_in && (it - config.burn_in).is_multiple_of(THIN) {
             samples.push(current.clone());
             log_posts.push(current_lp);
         }
@@ -225,11 +217,8 @@ mod tests {
             let d = x[0] - x[1];
             -s * s / (2.0 * 0.02f64.powi(2)) - d * d / (2.0 * 0.3f64.powi(2))
         };
-        let chain = metropolis(
-            2,
-            target,
-            &MetropolisConfig { iterations: 12_000, burn_in: 3000, seed: 4, ..Default::default() },
-        );
+        let chain =
+            metropolis(2, target, &MetropolisConfig { iterations: 12_000, burn_in: 3000, seed: 4 });
         let corr = chain.correlation(0, 1);
         assert!(corr < -0.6, "correlation {corr}");
     }

@@ -138,11 +138,7 @@ mod tests {
     fn recovers_hidden_parameters_end_to_end() {
         let reg = RegionRegistry::new();
         let id = reg.by_abbrev("DE").unwrap().id;
-        let data = build_region(
-            &reg,
-            id,
-            &BuildConfig { scale: Scale::one_per(4000.0), seed: 1, ..Default::default() },
-        );
+        let data = build_region(&reg, id, &BuildConfig { scale: Scale::one_per(4000.0), seed: 1 });
         let base = CellConfig {
             days: 70,
             sh_start: 40,
@@ -161,14 +157,8 @@ mod tests {
             base: base.clone(),
             n_posterior: 40,
             gpmsa: GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 1500,
-                    burn_in: 400,
-                    seed: 3,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 1500, burn_in: 400, seed: 3 },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -201,11 +191,8 @@ mod tests {
     fn rejects_short_observation() {
         let reg = RegionRegistry::new();
         let id = reg.by_abbrev("DE").unwrap().id;
-        let data = build_region(
-            &reg,
-            id,
-            &BuildConfig { scale: Scale::one_per(20_000.0), seed: 1, ..Default::default() },
-        );
+        let data =
+            build_region(&reg, id, &BuildConfig { scale: Scale::one_per(20_000.0), seed: 1 });
         let wf = CalibrationWorkflow::default();
         wf.run(&data, &[1.0; 10]);
     }

@@ -115,7 +115,6 @@ impl CombinedWorkflow {
             regions.iter().map(|&r| (r, registry.region(r).population)).collect();
         let spec = NightlySpec {
             algo: self.algo,
-            conns_per_task: self.workload.db_connections_per_task,
             failover: self.failover,
             breaker: self.breaker,
             ..NightlySpec::default()

@@ -93,11 +93,7 @@ mod tests {
     fn region() -> RegionData {
         let reg = RegionRegistry::new();
         let id = reg.by_abbrev("DE").unwrap().id;
-        build_region(
-            &reg,
-            id,
-            &BuildConfig { scale: Scale::one_per(4000.0), seed: 9, ..Default::default() },
-        )
+        build_region(&reg, id, &BuildConfig { scale: Scale::one_per(4000.0), seed: 9 })
     }
 
     fn quick_workflow() -> CounterfactualWorkflow {

@@ -114,11 +114,7 @@ mod tests {
     fn region() -> RegionData {
         let reg = RegionRegistry::new();
         let id = reg.by_abbrev("DE").unwrap().id;
-        build_region(
-            &reg,
-            id,
-            &BuildConfig { scale: Scale::one_per(4000.0), seed: 2, ..Default::default() },
-        )
+        build_region(&reg, id, &BuildConfig { scale: Scale::one_per(4000.0), seed: 2 })
     }
 
     fn posterior_like_configs(n: usize) -> Vec<CellConfig> {

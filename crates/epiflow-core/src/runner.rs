@@ -307,11 +307,7 @@ mod tests {
     fn small_region() -> RegionData {
         let reg = RegionRegistry::new();
         let id = reg.by_abbrev("DE").unwrap().id;
-        build_region(
-            &reg,
-            id,
-            &BuildConfig { scale: Scale::one_per(4000.0), seed: 3, ..Default::default() },
-        )
+        build_region(&reg, id, &BuildConfig { scale: Scale::one_per(4000.0), seed: 3 })
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! where `ghost_k` counts partition `k`'s in-edges whose source lives on
 //! another rank — a real quantity of the actual partitioning, not a
-//! parameter. `c_edge` should be calibrated from a measured serial run
-//! ([`MpiCostModel::calibrate_per_edge`]), which anchors the projection
-//! to this machine's real throughput; the communication constants are
-//! Omni-Path-class defaults.
+//! parameter. `c_edge` is the one settable cost: it defaults to a fixed
+//! 8 ns/in-edge, and [`MpiCostModel::calibrate_per_edge_scanned`]
+//! anchors it to a measured run's throughput instead. The node and
+//! communication costs are fixed Omni-Path-class constants.
 //!
 //! Intervention costs ([`intervention_tick_cost`]) follow the same
 //! logic: contact tracing at distance 2 must query *remote* adjacency
@@ -30,51 +30,33 @@
 use crate::partition::Partitioning;
 use epiflow_synthpop::ContactNetwork;
 
-/// Cost constants for the BSP model.
+/// Seconds per node visited.
+const PER_NODE_SECS: f64 = 3e-9;
+/// Barrier/allreduce latency coefficient (seconds, × ln(p+1)).
+const BARRIER_SECS: f64 = 50e-6;
+/// Per-rank exposure-exchange cost (seconds, × p).
+const PER_RANK_SECS: f64 = 15e-6;
+/// Seconds per ghost edge (remote neighbor state refresh).
+const PER_GHOST_EDGE_SECS: f64 = 40e-9;
+/// Seconds per remote adjacency query (2-hop tracing).
+const PER_REMOTE_QUERY_SECS: f64 = 0.5e-6;
+
+/// The settable per-edge cost of the BSP model. The node and
+/// communication costs are fixed Omni-Path-class constants of this
+/// module.
 #[derive(Clone, Debug)]
 pub struct MpiCostModel {
     /// Seconds per directed in-edge scanned.
     pub per_edge_secs: f64,
-    /// Seconds per node visited.
-    pub per_node_secs: f64,
-    /// Barrier/allreduce latency coefficient (seconds, × ln(p+1)).
-    pub barrier_secs: f64,
-    /// Per-rank exposure-exchange cost (seconds, × p).
-    pub per_rank_secs: f64,
-    /// Seconds per ghost edge (remote neighbor state refresh).
-    pub per_ghost_edge_secs: f64,
-    /// Seconds per remote adjacency query (2-hop tracing).
-    pub per_remote_query_secs: f64,
 }
 
 impl Default for MpiCostModel {
     fn default() -> Self {
-        MpiCostModel {
-            per_edge_secs: 8e-9,
-            per_node_secs: 3e-9,
-            barrier_secs: 50e-6,
-            per_rank_secs: 15e-6,
-            per_ghost_edge_secs: 40e-9,
-            per_remote_query_secs: 0.5e-6,
-        }
+        MpiCostModel { per_edge_secs: 8e-9 }
     }
 }
 
 impl MpiCostModel {
-    /// Calibrate `per_edge_secs` from a measured serial run: a run of
-    /// `ticks` ticks over a network with `directed_edges` in-edges that
-    /// took `measured_secs`.
-    pub fn calibrate_per_edge(
-        mut self,
-        measured_secs: f64,
-        directed_edges: usize,
-        ticks: u32,
-    ) -> Self {
-        assert!(directed_edges > 0 && ticks > 0);
-        self.per_edge_secs = measured_secs / (directed_edges as f64 * ticks as f64);
-        self
-    }
-
     /// Calibrate `per_edge_secs` from a measured run, where the engine
     /// reports exactly how many in-edges its λ pass examined
     /// (`EngineStats::total_edges_scanned`) instead of assuming the
@@ -117,11 +99,9 @@ pub fn projected_tick_secs(profile: &[(usize, usize, usize)], model: &MpiCostMod
     let max_edges = profile.iter().map(|x| x.0).max().unwrap_or(0) as f64;
     let max_nodes = profile.iter().map(|x| x.1).max().unwrap_or(0) as f64;
     let max_ghost = profile.iter().map(|x| x.2).max().unwrap_or(0) as f64;
-    let compute = max_edges * model.per_edge_secs + max_nodes * model.per_node_secs;
+    let compute = max_edges * model.per_edge_secs + max_nodes * PER_NODE_SECS;
     let comm = if profile.len() > 1 {
-        model.barrier_secs * (p + 1.0).ln()
-            + model.per_rank_secs * p
-            + max_ghost * model.per_ghost_edge_secs
+        BARRIER_SECS * (p + 1.0).ln() + PER_RANK_SECS * p + max_ghost * PER_GHOST_EDGE_SECS
     } else {
         0.0
     };
@@ -144,11 +124,11 @@ pub fn projected_frontier_tick_secs(
     let max_edges = profile.iter().map(|x| x.0).max().unwrap_or(0) as f64;
     let max_nodes = profile.iter().map(|x| x.1).max().unwrap_or(0) as f64;
     let max_ghost = profile.iter().map(|x| x.2).max().unwrap_or(0) as f64;
-    let compute = (max_edges * model.per_edge_secs + max_nodes * model.per_node_secs) * occupancy;
+    let compute = (max_edges * model.per_edge_secs + max_nodes * PER_NODE_SECS) * occupancy;
     let comm = if profile.len() > 1 {
-        model.barrier_secs * (p + 1.0).ln()
-            + model.per_rank_secs * p
-            + max_ghost * model.per_ghost_edge_secs * occupancy
+        BARRIER_SECS * (p + 1.0).ln()
+            + PER_RANK_SECS * p
+            + max_ghost * PER_GHOST_EDGE_SECS * occupancy
     } else {
         0.0
     };
@@ -203,31 +183,30 @@ pub fn intervention_tick_cost(
     match stack {
         Stack::Base => 0.0,
         // One-time reopening sampling amortizes to ~nothing per tick.
-        Stack::Ro => activity.n_nodes as f64 * model.per_node_secs / 100.0,
+        Stack::Ro => activity.n_nodes as f64 * PER_NODE_SECS / 100.0,
         // Test-and-isolate: scan the asymptomatic pool each tick.
         Stack::Ta => {
-            activity.n_nodes as f64 * model.per_node_secs
-                + activity.mean_asymptomatic * 10.0 * model.per_node_secs
+            activity.n_nodes as f64 * PER_NODE_SECS
+                + activity.mean_asymptomatic * 10.0 * PER_NODE_SECS
         }
         // Pulsing shutdown: each pulse boundary re-samples the whole
         // population's compliance and re-evaluates every edge's active
         // state (the "spawned recalculations" of §V), amortized per
         // tick over the pulse period.
         Stack::Ps { period_days } => {
-            let resample = activity.n_nodes as f64 * model.per_node_secs * 20.0;
+            let resample = activity.n_nodes as f64 * PER_NODE_SECS * 20.0;
             let edge_reeval =
                 activity.n_nodes as f64 * activity.mean_degree * model.per_edge_secs * 2.0;
-            (resample + edge_reeval + model.barrier_secs * (p + 1.0).ln() * 50.0)
-                / period_days.max(1.0)
+            (resample + edge_reeval + BARRIER_SECS * (p + 1.0).ln() * 50.0) / period_days.max(1.0)
         }
         // Distance-1 tracing: local adjacency of each detected case,
         // plus an isolation notice per traced contact — contacts
         // generally live on other ranks, so each notice is a message.
         Stack::D1ct { detection } => {
             let detected = activity.mean_symptomatic * detection;
-            let local = detected * activity.mean_degree * 20.0 * model.per_node_secs;
+            let local = detected * activity.mean_degree * 20.0 * PER_NODE_SECS;
             let notices = detected * activity.mean_degree;
-            local + notices * model.per_remote_query_secs * 2.0
+            local + notices * PER_REMOTE_QUERY_SECS * 2.0
         }
         // Distance-2 tracing: every expanded contact's own adjacency is
         // a *remote* query — the dominant term.
@@ -235,7 +214,7 @@ pub fn intervention_tick_cost(
             let detected = activity.mean_symptomatic * detection;
             let expansions = detected * activity.mean_degree; // 1-hop set
             let remote = expansions * activity.mean_degree; // 2-hop lookups
-            expansions * model.per_remote_query_secs * 0.25 + remote * model.per_remote_query_secs
+            expansions * PER_REMOTE_QUERY_SECS * 0.25 + remote * PER_REMOTE_QUERY_SECS
         }
     }
 }
@@ -299,14 +278,8 @@ mod tests {
         let profile = partition_profile(&net, &parts);
         let model = MpiCostModel::default();
         let t = projected_tick_secs(&profile, &model);
-        let expect = 2000.0 * model.per_edge_secs + 1000.0 * model.per_node_secs;
+        let expect = 2000.0 * model.per_edge_secs + 1000.0 * PER_NODE_SECS;
         assert!((t - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibration_sets_per_edge() {
-        let model = MpiCostModel::default().calibrate_per_edge(2.0, 1_000_000, 100);
-        assert!((model.per_edge_secs - 2e-8).abs() < 1e-15);
     }
 
     #[test]

@@ -239,16 +239,7 @@ mod tests {
     use super::*;
 
     fn task(id: u32, region: RegionId, nodes: usize, secs: f64) -> Task {
-        Task {
-            id,
-            region,
-            cell: 0,
-            replicate: 0,
-            nodes,
-            est_secs: secs,
-            actual_secs: secs,
-            db_connections: 1,
-        }
+        Task { id, region, cell: 0, replicate: 0, nodes, est_secs: secs, actual_secs: secs }
     }
 
     fn uniform_tasks(n: u32, nodes: usize, secs: f64) -> Vec<Task> {

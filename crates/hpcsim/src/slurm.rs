@@ -378,16 +378,7 @@ mod tests {
     }
 
     fn task(id: u32, region: RegionId, nodes: usize, secs: f64) -> Task {
-        Task {
-            id,
-            region,
-            cell: 0,
-            replicate: 0,
-            nodes,
-            est_secs: secs,
-            actual_secs: secs,
-            db_connections: 1,
-        }
+        Task { id, region, cell: 0, replicate: 0, nodes, est_secs: secs, actual_secs: secs }
     }
 
     #[test]

@@ -26,8 +26,6 @@ pub struct Task {
     pub est_secs: f64,
     /// Realized runtime for execution simulation.
     pub actual_secs: f64,
-    /// Database connections the job holds while running.
-    pub db_connections: usize,
 }
 
 /// Deterministic per-task noise in `[lo, hi]` from a hash (keeps
@@ -50,17 +48,18 @@ pub struct WorkloadSpec {
     pub replicates: u32,
     /// Regions to include (defaults to all 51).
     pub regions: Vec<RegionId>,
-    /// Seconds of runtime per simulated person (the Fig.-7-top linear
-    /// coefficient). Bridges-era EpiHiper: CA ≈ 100–300 steps × ~3 s.
-    pub secs_per_person: f64,
-    /// Base runtime independent of size (startup, I/O).
-    pub base_secs: f64,
     /// Multiplicative runtime noise half-width (0.3 ⇒ ±30%).
     pub noise: f64,
-    /// DB connections per running job.
-    pub db_connections_per_task: usize,
     pub seed: u64,
 }
+
+/// Seconds of runtime per simulated person (the Fig.-7-top linear
+/// coefficient). Bridges-era EpiHiper: CA ≈ 100–300 steps × ~3 s.
+/// Chosen so CA (≈19.8k persons at scale 1/2000) lands at ≈900 s, the
+/// paper's 300-step × 3 s figure.
+const SECS_PER_PERSON: f64 = 900.0 * 2000.0 / 39_500_000.0;
+/// Base runtime independent of size (startup, I/O).
+const BASE_SECS: f64 = 30.0;
 
 impl Default for WorkloadSpec {
     fn default() -> Self {
@@ -68,12 +67,7 @@ impl Default for WorkloadSpec {
             cells: 12,
             replicates: 15,
             regions: (0..51).collect(),
-            // Chosen so CA (≈19.8k persons at scale 1/2000) lands at
-            // ≈900 s, the paper's 300-step × 3 s figure.
-            secs_per_person: 900.0 * 2000.0 / 39_500_000.0,
-            base_secs: 30.0,
             noise: 0.30,
-            db_connections_per_task: 4,
             seed: 0xC0FFEE,
         }
     }
@@ -93,7 +87,7 @@ impl WorkloadSpec {
         for cell in 0..self.cells {
             for &region in &self.regions {
                 let persons = registry.node_count(region, scale);
-                let est = self.base_secs + self.secs_per_person * persons as f64;
+                let est = BASE_SECS + SECS_PER_PERSON * persons as f64;
                 let nodes = registry.size_category(region).compute_nodes();
                 for replicate in 0..self.replicates {
                     let jitter = hash_noise(
@@ -111,7 +105,6 @@ impl WorkloadSpec {
                         nodes,
                         est_secs: est,
                         actual_secs: est * jitter,
-                        db_connections: self.db_connections_per_task,
                     });
                     id += 1;
                 }

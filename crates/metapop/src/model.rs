@@ -1,7 +1,10 @@
 //! The metapopulation SEIR(+P, Iₐ, H, D) model and its integrators.
 
 use crate::mixing::Mixing;
-use crate::params::{Scenario, SeirParams};
+use crate::params::{
+    Scenario, SeirParams, ASYMPTOMATIC_FRACTION, DELTA, ETA, HOSPITALIZATION_FRACTION,
+    HOSPITAL_FATALITY, REL_ASYMPTOMATIC, REL_PRESYMPTOMATIC, SIGMA,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,12 +98,11 @@ impl MetapopModel {
     /// every county.
     fn force_of_infection(&self, state: &[[f64; NC]], beta: f64) -> Vec<f64> {
         let n = self.populations.len();
-        let p = &self.params;
         // Infectious pressure present in each destination county.
         let mut pressure = vec![0.0; n];
         let mut n_eff = vec![0.0; n];
         for (k, sk) in state.iter().enumerate().take(n) {
-            let infectious = sk[IS] + p.rel_presymptomatic * sk[P] + p.rel_asymptomatic * sk[IA];
+            let infectious = sk[IS] + REL_PRESYMPTOMATIC * sk[P] + REL_ASYMPTOMATIC * sk[IA];
             let row = self.mixing.row(k);
             for j in 0..n {
                 pressure[j] += row[j] * infectious;
@@ -127,16 +129,16 @@ impl MetapopModel {
         for i in 0..n {
             let s = state[i];
             let infection = lambda[i] * s[S];
-            let e_out = p.sigma * s[E];
-            let to_asym = e_out * p.asymptomatic_fraction;
-            let to_pre = e_out * (1.0 - p.asymptomatic_fraction);
-            let p_out = p.delta * s[P];
+            let e_out = SIGMA * s[E];
+            let to_asym = e_out * ASYMPTOMATIC_FRACTION;
+            let to_pre = e_out * (1.0 - ASYMPTOMATIC_FRACTION);
+            let p_out = DELTA * s[P];
             let ia_out = p.gamma * s[IA];
             let is_out = p.gamma * s[IS];
-            let to_hosp = is_out * p.hospitalization_fraction;
+            let to_hosp = is_out * HOSPITALIZATION_FRACTION;
             let to_recover_direct = is_out - to_hosp;
-            let h_out = p.eta * s[H];
-            let to_death = h_out * p.hospital_fatality;
+            let h_out = ETA * s[H];
+            let to_death = h_out * HOSPITAL_FATALITY;
 
             d[i][S] = -infection;
             d[i][E] = infection - e_out;
@@ -250,15 +252,15 @@ impl MetapopModel {
             let mut day_cases = vec![0.0; n];
             for i in 0..n {
                 let infections = binom(state[i][S], lambda[i], &mut rng);
-                let e_out = binom(state[i][E], p.sigma, &mut rng);
-                let to_asym = (e_out * p.asymptomatic_fraction).round();
+                let e_out = binom(state[i][E], SIGMA, &mut rng);
+                let to_asym = (e_out * ASYMPTOMATIC_FRACTION).round();
                 let to_pre = e_out - to_asym;
-                let p_out = binom(state[i][P], p.delta, &mut rng);
+                let p_out = binom(state[i][P], DELTA, &mut rng);
                 let ia_out = binom(state[i][IA], p.gamma, &mut rng);
                 let is_out = binom(state[i][IS], p.gamma, &mut rng);
-                let to_hosp = (is_out * p.hospitalization_fraction).round();
-                let h_out = binom(state[i][H], p.eta, &mut rng);
-                let to_death = (h_out * p.hospital_fatality).round();
+                let to_hosp = (is_out * HOSPITALIZATION_FRACTION).round();
+                let h_out = binom(state[i][H], ETA, &mut rng);
+                let to_death = (h_out * HOSPITAL_FATALITY).round();
 
                 state[i][S] -= infections;
                 state[i][E] += infections - e_out;

@@ -2,47 +2,40 @@
 
 use serde::{Deserialize, Serialize};
 
+/// 1 / latent period (E → P or Iₐ).
+pub(crate) const SIGMA: f64 = 1.0 / 4.0;
+/// 1 / presymptomatic period (P → Iₛ).
+pub(crate) const DELTA: f64 = 1.0 / 2.0;
+/// Fraction of infections that stay asymptomatic.
+pub(crate) const ASYMPTOMATIC_FRACTION: f64 = 0.35;
+/// Relative transmissivity of presymptomatic cases.
+pub(crate) const REL_PRESYMPTOMATIC: f64 = 0.8;
+/// Relative transmissivity of asymptomatic cases.
+pub(crate) const REL_ASYMPTOMATIC: f64 = 0.6;
+/// Fraction of symptomatic cases hospitalized.
+pub(crate) const HOSPITALIZATION_FRACTION: f64 = 0.06;
+/// 1 / hospital stay duration.
+pub(crate) const ETA: f64 = 1.0 / 8.0;
+/// Fraction of hospitalized cases who die.
+pub(crate) const HOSPITAL_FATALITY: f64 = 0.15;
+
 /// Disease parameters for the metapopulation model. Defaults follow the
 /// early-COVID-19 estimates the paper cites (R₀ ≈ 2.5, ~5-day latent
-/// period, reduced but nonzero pre/asymptomatic transmissivity).
+/// period, reduced but nonzero pre/asymptomatic transmissivity). Only
+/// the two rates calibration moves are settable; the latent and
+/// presymptomatic periods, the asymptomatic share and transmissivities,
+/// and the hospital course are fixed constants of this module.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SeirParams {
     /// Transmission rate β (per day). R₀ ≈ β · infectious duration.
     pub beta: f64,
-    /// 1 / latent period (E → P or Iₐ).
-    pub sigma: f64,
-    /// 1 / presymptomatic period (P → Iₛ).
-    pub delta: f64,
     /// 1 / infectious period (Iₛ/Iₐ → outcome).
     pub gamma: f64,
-    /// Fraction of infections that stay asymptomatic.
-    pub asymptomatic_fraction: f64,
-    /// Relative transmissivity of presymptomatic cases.
-    pub rel_presymptomatic: f64,
-    /// Relative transmissivity of asymptomatic cases.
-    pub rel_asymptomatic: f64,
-    /// Fraction of symptomatic cases hospitalized.
-    pub hospitalization_fraction: f64,
-    /// 1 / hospital stay duration.
-    pub eta: f64,
-    /// Fraction of hospitalized cases who die.
-    pub hospital_fatality: f64,
 }
 
 impl Default for SeirParams {
     fn default() -> Self {
-        SeirParams {
-            beta: 0.5,
-            sigma: 1.0 / 4.0,
-            delta: 1.0 / 2.0,
-            gamma: 1.0 / 5.0,
-            asymptomatic_fraction: 0.35,
-            rel_presymptomatic: 0.8,
-            rel_asymptomatic: 0.6,
-            hospitalization_fraction: 0.06,
-            eta: 1.0 / 8.0,
-            hospital_fatality: 0.15,
-        }
+        SeirParams { beta: 0.5, gamma: 1.0 / 5.0 }
     }
 }
 
@@ -52,9 +45,9 @@ impl SeirParams {
     /// presymptomatic and infectious periods, mixing symptomatic and
     /// asymptomatic paths.
     pub fn r0(&self) -> f64 {
-        let symptomatic_path = (1.0 - self.asymptomatic_fraction)
-            * (self.rel_presymptomatic / self.delta + 1.0 / self.gamma);
-        let asymptomatic_path = self.asymptomatic_fraction * self.rel_asymptomatic / self.gamma;
+        let symptomatic_path =
+            (1.0 - ASYMPTOMATIC_FRACTION) * (REL_PRESYMPTOMATIC / DELTA + 1.0 / self.gamma);
+        let asymptomatic_path = ASYMPTOMATIC_FRACTION * REL_ASYMPTOMATIC / self.gamma;
         self.beta * (symptomatic_path + asymptomatic_path)
     }
 

@@ -121,12 +121,16 @@ pub struct CycleEnv {
     pub algo: PackAlgo,
     /// Per-region database connection bound B(r).
     pub db_max_connections: usize,
+    /// Database connections each running job holds.
     pub conns_per_task: usize,
     /// The night's task list.
     pub tasks: Vec<Task>,
     /// `(region, person-trait rows)` for every region in `tasks`.
     pub region_rows: Vec<(usize, u64)>,
 }
+
+/// Database connections each running job holds.
+const CONNS_PER_TASK: usize = 4;
 
 impl CycleEnv {
     /// The paper's deployment (Table II) for one night: Bridges as the
@@ -139,12 +143,12 @@ impl CycleEnv {
             home: ClusterSpec::rivanna(),
             fallback_link: GlobusLink { bandwidth_bps: 50e6, overhead_secs: 60.0 },
             algo: spec.algo,
-            // One PostgreSQL server per region on its own node; with 4
-            // connections per job this allows 16 concurrent jobs per
+            // One PostgreSQL server per region on its own node; with
+            // `CONNS_PER_TASK` = 4 this allows 16 concurrent jobs per
             // region, enough that the machine (not the databases) is
             // the binding constraint on all-state nights.
             db_max_connections: 64,
-            conns_per_task: spec.conns_per_task,
+            conns_per_task: CONNS_PER_TASK,
             tasks,
             region_rows,
         }

@@ -9,10 +9,10 @@
 //! [`crate::faults`]), the resumed run's final report is byte-identical
 //! to the report an uninterrupted run would have produced.
 //!
-//! The journal serializes to JSON via `to_json`/`from_json`, and to an
-//! append-friendly JSON-lines form via `to_jsonl`/`recover_jsonl`,
-//! which is how a real deployment persists it between the 10 pm kickoff
-//! and an operator restart. On-disk writes go through
+//! The journal has one on-disk format: append-friendly JSON lines, one
+//! commit record per line, via `to_jsonl` and `from_jsonl`/
+//! `recover_jsonl`. That is how a real deployment persists it between
+//! the 10 pm kickoff and an operator restart. On-disk writes go through
 //! [`Journal::save_atomic`] (temp file + fsync + rename) or the
 //! incremental [`JournalWriter`] (one fsynced line per commit record),
 //! so a crash can tear at most the trailing line — which
@@ -91,21 +91,15 @@ pub struct JournalEntry {
     pub snapshots: Vec<ResumePoint>,
 }
 
-/// The write-ahead journal: completions in execution order.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// The write-ahead journal: completions in execution order. It is
+/// persisted only as JSON lines ([`Journal::to_jsonl`]), one
+/// [`JournalEntry`] per line, so it has no serde impl of its own.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Journal {
     pub entries: Vec<JournalEntry>,
 }
 
 impl Journal {
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("journal serializes infallibly")
-    }
-
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// The journal as it stood after the first `n` completions — what a
     /// crash at that point would have left on disk.
     pub fn prefix(&self, n: usize) -> Journal {
@@ -241,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips_through_json() {
+    fn journal_round_trips_through_jsonl() {
         let journal = Journal {
             entries: vec![JournalEntry {
                 step: 1,
@@ -281,8 +275,8 @@ mod tests {
                 ],
             }],
         };
-        let json = journal.to_json();
-        let back = Journal::from_json(&json).expect("parse own journal");
+        let jsonl = journal.to_jsonl();
+        let back = Journal::from_jsonl(&jsonl).expect("parse own journal");
         assert_eq!(back, journal);
     }
 
@@ -342,9 +336,8 @@ mod tests {
         let mut lines: Vec<&str> = jsonl.lines().collect();
         lines.insert(1, &deep);
         assert!(Journal::recover_jsonl(&lines.join("\n")).is_err());
-        // …and the strict readers reject it without blowing the stack.
+        // …and the strict reader rejects it without blowing the stack.
         assert!(Journal::from_jsonl(&deep).is_err());
-        assert!(Journal::from_json(&deep).is_err());
     }
 
     #[test]

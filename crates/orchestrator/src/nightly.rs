@@ -16,14 +16,13 @@ use epiflow_hpcsim::schedule::PackAlgo;
 use epiflow_hpcsim::slurm::CheckpointPolicy;
 use epiflow_hpcsim::task::Task;
 
-/// What a caller varies about the nightly cycle. The clusters, links
-/// and database bound are the paper's fixed deployment
-/// ([`CycleEnv::new`]); the step durations and transfer retries are the
-/// constants below.
+/// What a caller varies about the nightly cycle. The clusters, links,
+/// database bound and connections per job are the paper's fixed
+/// deployment ([`CycleEnv::new`]); the step durations and transfer
+/// retries are the constants below.
 #[derive(Clone, Debug)]
 pub struct NightlySpec {
     pub algo: PackAlgo,
-    pub conns_per_task: usize,
     /// Cross-cluster failover + hedging (off by default — the classic
     /// engine).
     pub failover: FailoverPolicy,
@@ -38,7 +37,6 @@ impl Default for NightlySpec {
     fn default() -> Self {
         NightlySpec {
             algo: PackAlgo::FfdtDc,
-            conns_per_task: 4,
             failover: FailoverPolicy::default(),
             breaker: BreakerConfig::default(),
             checkpoint: CheckpointPolicy::default(),
@@ -163,7 +161,6 @@ mod tests {
                 nodes: 2,
                 est_secs: 1800.0,
                 actual_secs: 1800.0,
-                db_connections: 4,
             })
             .collect();
         (tasks, vec![(0, 5_000_000), (1, 8_000_000)])

@@ -21,24 +21,27 @@ use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Gamma};
 use serde::{Deserialize, Serialize};
 
-/// Hidden epidemic + observation parameters.
+/// Basic reproduction number before any intervention.
+const R0: f64 = 2.5;
+/// Day the stay-at-home-like suppression begins.
+const INTERVENTION_DAY: usize = 60;
+/// Fraction of infections that are eventually confirmed.
+const ASCERTAINMENT: f64 = 0.25;
+/// Mean reporting delay in days.
+const REPORT_DELAY_MEAN: f64 = 5.0;
+/// Negative-binomial-like dispersion: variance = mean·(1 + mean/k).
+/// Larger k ⇒ closer to Poisson.
+const DISPERSION_K: f64 = 10.0;
+
+/// Hidden epidemic + observation parameters. The reproduction number,
+/// intervention day, ascertainment, reporting delay and dispersion are
+/// fixed constants of this module.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GroundTruthConfig {
-    /// Basic reproduction number before any intervention.
-    pub r0: f64,
-    /// Day the stay-at-home-like suppression begins.
-    pub intervention_day: usize,
-    /// Multiplier on transmission after `intervention_day` (e.g. 0.4).
+    /// Multiplier on transmission after `INTERVENTION_DAY` (e.g. 0.4).
     pub intervention_effect: f64,
-    /// Fraction of infections that are eventually confirmed.
-    pub ascertainment: f64,
-    /// Mean reporting delay in days.
-    pub report_delay_mean: f64,
     /// Weekend reporting multiplier (< 1 ⇒ weekend dip).
     pub weekend_factor: f64,
-    /// Negative-binomial-like dispersion: variance = mean·(1 + mean/k).
-    /// Larger k ⇒ closer to Poisson.
-    pub dispersion_k: f64,
     /// Number of days to generate.
     pub days: usize,
     /// RNG seed.
@@ -48,13 +51,8 @@ pub struct GroundTruthConfig {
 impl Default for GroundTruthConfig {
     fn default() -> Self {
         GroundTruthConfig {
-            r0: 2.5,
-            intervention_day: 60,
             intervention_effect: 0.45,
-            ascertainment: 0.25,
-            report_delay_mean: 5.0,
             weekend_factor: 0.7,
-            dispersion_k: 10.0,
             days: 200,
             seed: 20200121,
         }
@@ -107,7 +105,7 @@ impl GroundTruth {
     /// Generate ground truth for every region in the registry.
     pub fn generate(registry: &RegionRegistry, config: &GroundTruthConfig) -> Self {
         let gen_kernel = generation_kernel();
-        let del_kernel = delay_kernel(config.report_delay_mean);
+        let del_kernel = delay_kernel(REPORT_DELAY_MEAN);
         let mut observed = Vec::with_capacity(registry.len());
         let mut true_infections = Vec::with_capacity(registry.len());
 
@@ -173,11 +171,7 @@ fn simulate_county(
             force += import_size * rng.random_range(0.5..1.5);
         }
         // Renewal: force = R_t Σ g_s I_{t-s}.
-        let rt = if t >= config.intervention_day {
-            config.r0 * config.intervention_effect
-        } else {
-            config.r0
-        };
+        let rt = if t >= INTERVENTION_DAY { R0 * config.intervention_effect } else { R0 };
         let mut conv = 0.0;
         for (s, g) in gen_kernel.iter().enumerate() {
             let lag = s + 1;
@@ -197,7 +191,7 @@ fn simulate_county(
     // Observation model.
     let mut expected = vec![0.0f64; days];
     for t in 0..days {
-        let inf = infections[t] * config.ascertainment;
+        let inf = infections[t] * ASCERTAINMENT;
         if inf <= 0.0 {
             continue;
         }
@@ -212,7 +206,7 @@ fn simulate_county(
         let weekday = t % 7;
         let wk = if weekday == 5 || weekday == 6 { config.weekend_factor } else { 1.0 };
         let mu = expected[t] * wk;
-        reported[t] = negbin_like(mu, config.dispersion_k, rng);
+        reported[t] = negbin_like(mu, DISPERSION_K, rng);
     }
 
     (CaseSeries::from_daily(infections), CaseSeries::from_daily(reported))

@@ -19,23 +19,19 @@ use rand::{Rng, SeedableRng};
 pub struct BuildConfig {
     pub scale: Scale,
     pub seed: u64,
-    /// Day of week to project the contact network onto (2 = Wednesday,
-    /// the paper's "typical day").
-    pub network_day: u8,
-    /// Probability a worker stays in their home county.
-    pub commute_stay_prob: f64,
 }
 
 impl Default for BuildConfig {
     fn default() -> Self {
-        BuildConfig {
-            scale: Scale::default(),
-            seed: 0x5EED,
-            network_day: 2,
-            commute_stay_prob: 0.75,
-        }
+        BuildConfig { scale: Scale::default(), seed: 0x5EED }
     }
 }
+
+/// Day of week to project the contact network onto (2 = Wednesday,
+/// the paper's "typical day").
+const NETWORK_DAY: u8 = 2;
+/// Probability a worker stays in their home county.
+const COMMUTE_STAY_PROB: f64 = 0.75;
 
 /// The fully built region data.
 #[derive(Clone, Debug)]
@@ -197,11 +193,11 @@ pub fn build_region(
     let locations = LocationModel::generate(&county_persons, &mut rng);
 
     // 5. Assignment.
-    let flows = CommuteFlows::gravity(&county_persons, config.commute_stay_prob);
+    let flows = CommuteFlows::gravity(&county_persons, COMMUTE_STAY_PROB);
     let visits = assign_locations(&population, &patterns, &locations, &flows, &mut rng);
 
     // 6. Contact network for the configured day.
-    let network = derive_network(&population, &visits, &locations, config.network_day, &mut rng);
+    let network = derive_network(&population, &visits, &locations, NETWORK_DAY, &mut rng);
 
     RegionData { region, population, locations, network }
 }
@@ -211,7 +207,7 @@ mod tests {
     use super::*;
 
     fn small_config() -> BuildConfig {
-        BuildConfig { scale: Scale::one_per(20_000.0), seed: 7, ..Default::default() }
+        BuildConfig { scale: Scale::one_per(20_000.0), seed: 7 }
     }
 
     #[test]
@@ -257,11 +253,8 @@ mod tests {
     fn age_distribution_matches_marginals() {
         let reg = RegionRegistry::new();
         let md = reg.by_abbrev("MD").unwrap().id;
-        let data = build_region(
-            &reg,
-            md,
-            &BuildConfig { scale: Scale::one_per(5_000.0), seed: 11, ..Default::default() },
-        );
+        let data =
+            build_region(&reg, md, &BuildConfig { scale: Scale::one_per(5_000.0), seed: 11 });
         let hist = data.population.age_histogram();
         let total: usize = hist.iter().sum();
         for (i, group) in AgeGroup::ALL.iter().enumerate() {

@@ -21,11 +21,7 @@ use epiflow::synthpop::{build_region, BuildConfig};
 fn main() {
     let registry = RegionRegistry::new();
     let va = registry.by_abbrev("VA").expect("Virginia exists").id;
-    let data = build_region(
-        &registry,
-        va,
-        &BuildConfig { scale: Scale::one_per(8000.0), seed: 1, ..Default::default() },
-    );
+    let data = build_region(&registry, va, &BuildConfig { scale: Scale::one_per(8000.0), seed: 1 });
     println!(
         "Virginia (1/8000): {} persons, {} edges",
         data.population.len(),
@@ -56,14 +52,8 @@ fn main() {
         n_posterior: 100,
         base: base.clone(),
         gpmsa: GpmsaConfig {
-            mcmc: MetropolisConfig {
-                iterations: 3000,
-                burn_in: 800,
-                seed: 2,
-                ..Default::default()
-            },
+            mcmc: MetropolisConfig { iterations: 3000, burn_in: 800, seed: 2 },
             gibbs_sweeps: 2,
-            ..Default::default()
         },
         ..Default::default()
     };

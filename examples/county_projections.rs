@@ -37,7 +37,7 @@ fn main() {
     let seeds: Vec<f64> = counties.iter().map(|p| (p / 2e5).clamp(0.0, 30.0)).collect();
     let truth = [0.52, 5.5]; // (beta, infectious days)
     let simulate = |theta: &[f64]| -> Vec<Vec<f64>> {
-        let params = SeirParams { beta: theta[0], gamma: 1.0 / theta[1], ..SeirParams::default() };
+        let params = SeirParams { beta: theta[0], gamma: 1.0 / theta[1] };
         let model = MetapopModel::new(params, Mixing::gravity(&pops, 0.8), counties.clone());
         let out = model.run_deterministic(
             horizon,
@@ -74,7 +74,7 @@ fn main() {
         simulate,
         &observed,
         0.20, // the paper's 20%-of-count noise model
-        &MetropolisConfig { iterations: 2500, burn_in: 600, seed: 17, ..Default::default() },
+        &MetropolisConfig { iterations: 2500, burn_in: 600, seed: 17 },
     );
     let mean = posterior.theta.mean();
     let sd = posterior.theta.std_dev();
@@ -87,7 +87,7 @@ fn main() {
     // Project the five scenarios from the posterior mean.
     println!("projections under the case study's five scenarios (160 days):");
     println!("{:>26} {:>14} {:>12} {:>12}", "scenario", "cum. cases", "peak hosp.", "deaths");
-    let params = SeirParams { beta: mean[0], gamma: 1.0 / mean[1], ..SeirParams::default() };
+    let params = SeirParams { beta: mean[0], gamma: 1.0 / mean[1] };
     let model = MetapopModel::new(params, Mixing::gravity(&pops, 0.8), counties.clone());
     for scenario in Scenario::case_study_set() {
         let out = model.run_deterministic(160, &seeds, &scenario, 2);

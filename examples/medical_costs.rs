@@ -54,8 +54,7 @@ fn main() {
     let mut totals = vec![(0.0f64, 0.0f64, 0u64, 0u64); cells.len()];
     for abbrev in panel {
         let id = registry.by_abbrev(abbrev).expect("known region").id;
-        let data =
-            build_region(&registry, id, &BuildConfig { scale, seed: 11, ..Default::default() });
+        let data = build_region(&registry, id, &BuildConfig { scale, seed: 11 });
         for row in workflow.run(&data) {
             let slot = &mut totals[row.cell.cell as usize];
             slot.0 += row.mean_cost.total();

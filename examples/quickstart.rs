@@ -15,11 +15,8 @@ fn main() {
     // 1. The 51-region registry and a scaled-down synthetic Delaware.
     let registry = RegionRegistry::new();
     let de = registry.by_abbrev("DE").expect("Delaware exists").id;
-    let data = build_region(
-        &registry,
-        de,
-        &BuildConfig { scale: Scale::one_per(2000.0), seed: 42, ..Default::default() },
-    );
+    let data =
+        build_region(&registry, de, &BuildConfig { scale: Scale::one_per(2000.0), seed: 42 });
     let stats = data.network.stats();
     println!(
         "Synthetic Delaware: {} persons in {} households, contact network with {} edges \

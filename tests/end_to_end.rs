@@ -11,7 +11,7 @@ use epiflow::synthpop::{build_region, BuildConfig};
 fn small_region(abbrev: &str, per: f64, seed: u64) -> epiflow::synthpop::builder::RegionData {
     let reg = RegionRegistry::new();
     let id = reg.by_abbrev(abbrev).unwrap().id;
-    build_region(&reg, id, &BuildConfig { scale: Scale::one_per(per), seed, ..Default::default() })
+    build_region(&reg, id, &BuildConfig { scale: Scale::one_per(per), seed })
 }
 
 /// Synthetic population → contact network → agent-based epidemic:
@@ -67,9 +67,8 @@ fn calibration_to_prediction_pipeline() {
         n_posterior: 12,
         base: base.clone(),
         gpmsa: epiflow::calibrate::GpmsaConfig {
-            mcmc: MetropolisConfig { iterations: 800, burn_in: 200, seed: 1, ..Default::default() },
+            mcmc: MetropolisConfig { iterations: 800, burn_in: 200, seed: 1 },
             gibbs_sweeps: 1,
-            ..Default::default()
         },
         ..Default::default()
     };
@@ -123,7 +122,7 @@ fn groundtruth_feeds_metapop_calibration() {
         simulate,
         &observed,
         0.2,
-        &MetropolisConfig { iterations: 1200, burn_in: 300, seed: 7, ..Default::default() },
+        &MetropolisConfig { iterations: 1200, burn_in: 300, seed: 7 },
     );
     let mean = post.theta.mean();
     assert!((mean[0] - 0.55).abs() < 0.05, "recovered beta {}", mean[0]);

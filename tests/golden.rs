@@ -553,14 +553,8 @@ fn calibration_digests_are_pinned() {
             &em,
             observed,
             GpmsaConfig {
-                mcmc: MetropolisConfig {
-                    iterations: 400,
-                    burn_in: 100,
-                    seed,
-                    ..Default::default()
-                },
+                mcmc: MetropolisConfig { iterations: 400, burn_in: 100, seed },
                 gibbs_sweeps: 2,
-                ..Default::default()
             },
         );
         assert_eq!(cal.p_delta(), 7, "t = 70 days gives the paper's p_δ = 7");
@@ -625,7 +619,7 @@ fn synthpop_digests_are_pinned() {
     let mut ok = true;
     for (abbrev, per, seed, expected) in cases {
         let region = registry.by_abbrev(abbrev).unwrap().id;
-        let config = BuildConfig { scale: Scale::one_per(per), seed, ..Default::default() };
+        let config = BuildConfig { scale: Scale::one_per(per), seed };
         let data = build_region(&registry, region, &config);
         let actual = region_digest(&data);
         ok &= actual == expected;

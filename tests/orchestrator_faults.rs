@@ -85,9 +85,10 @@ fn kill_and_resume_from_journal_is_byte_identical() {
 
     for k in 0..=full.journal.entries.len() {
         // "Kill" the cycle after k completions: only the write-ahead
-        // journal prefix survives, as persisted JSON.
-        let persisted = full.journal.prefix(k).to_json();
-        let recovered = Journal::from_json(&persisted).expect("journal parses back");
+        // journal prefix survives, as persisted JSON lines.
+        let persisted = full.journal.prefix(k).to_jsonl();
+        let (recovered, torn) = Journal::recover_jsonl(&persisted).expect("journal parses back");
+        assert!(!torn, "a journal cut at a commit boundary has no torn record");
         let resumed = engine.resume(&recovered);
         assert_eq!(
             serde_json::to_string(&resumed.report).unwrap(),

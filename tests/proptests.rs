@@ -415,7 +415,6 @@ proptest! {
                 nodes,
                 est_secs: secs,
                 actual_secs: secs,
-                db_connections: 1,
             })
             .collect();
         for algo in [PackAlgo::NfdtDc, PackAlgo::FfdtDc] {
@@ -443,7 +442,6 @@ proptest! {
                 nodes,
                 est_secs: secs,
                 actual_secs: secs,
-                db_connections: 1,
             })
             .collect();
         let nf = pack(&tasks, 8, |_| 3, PackAlgo::NfdtDc);
@@ -754,7 +752,6 @@ proptest! {
 struct FuzzNight {
     engine: Engine,
     jsonl: String,
-    json: String,
 }
 
 /// A small night whose journal exercises every field: link drops and
@@ -791,7 +788,7 @@ fn fuzz_night(failover: bool) -> &'static FuzzNight {
         }
         let engine = wf.engine(&RegionRegistry::new(), Scale::default());
         let journal = engine.run().journal;
-        FuzzNight { engine, jsonl: journal.to_jsonl(), json: journal.to_json() }
+        FuzzNight { engine, jsonl: journal.to_jsonl() }
     })
 }
 
@@ -876,9 +873,6 @@ fn journal_decoders_survive(night: &FuzzNight, mutations: &[(u8, u64, u64)]) {
         night.engine.resume(&journal);
     }
     if let Ok((journal, _)) = Journal::recover_jsonl(&jsonl) {
-        night.engine.resume(&journal);
-    }
-    if let Ok(journal) = Journal::from_json(&mutate(&night.json)) {
         night.engine.resume(&journal);
     }
 }
