@@ -2,10 +2,13 @@
 //! locations → assignment → contact network.
 //!
 //! [`build_region`] is the one-call entry point the workflows use. It is
-//! deterministic given `(region, scale, seed)`.
+//! deterministic given `(region, scale, seed)`, whatever the number of
+//! threads: the serial stages share one stream, and the per-person
+//! stages (weekly patterns, location assignment) give every person a
+//! stream of their own.
 
 use crate::activity::{assign_archetype, weekly_pattern, WeeklyPattern};
-use crate::assignment::{assign_locations, CommuteFlows};
+use crate::assignment::{assign_locations, fill_chunks, person_rng, CommuteFlows, PATTERN_STAGE};
 use crate::ipf::{integerize, ipf};
 use crate::location::LocationModel;
 use crate::network::{derive_network, ContactNetwork};
@@ -164,8 +167,9 @@ pub fn build_region(
     region: RegionId,
     config: &BuildConfig,
 ) -> RegionData {
-    let mut rng =
-        StdRng::seed_from_u64(config.seed ^ (region as u64).wrapping_mul(0x9E3779B97F4A7C15));
+    let seed = config.seed ^ (region as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    // The serial stages' shared stream: households, locations, contacts.
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // Scaled per-county person counts.
     let county_persons: Vec<usize> =
@@ -179,22 +183,27 @@ pub fn build_region(
     }
     let population = Population { region, persons, households };
 
-    // 3. Weekly activity patterns.
-    let patterns: Vec<WeeklyPattern> = population
-        .persons
-        .iter()
-        .map(|p| {
-            let arch = assign_archetype(p, &mut rng);
-            weekly_pattern(arch, &mut rng)
-        })
-        .collect();
+    // 3. Weekly activity patterns, in parallel on per-person streams.
+    let mut patterns = vec![WeeklyPattern::default(); population.len()];
+    fill_chunks(
+        &mut patterns,
+        population.len(),
+        |persons| persons.len(),
+        |persons, part| {
+            for (pid, slot) in persons.zip(part) {
+                let mut rng = person_rng(seed, PATTERN_STAGE, pid);
+                *slot =
+                    weekly_pattern(assign_archetype(&population.persons[pid], &mut rng), &mut rng);
+            }
+        },
+    );
 
     // 4. Locations.
     let locations = LocationModel::generate(&county_persons, &mut rng);
 
-    // 5. Assignment.
+    // 5. Assignment, in parallel on per-person streams.
     let flows = CommuteFlows::gravity(&county_persons, COMMUTE_STAY_PROB);
-    let visits = assign_locations(&population, &patterns, &locations, &flows, &mut rng);
+    let visits = assign_locations(&population, &patterns, &locations, &flows, seed);
 
     // 6. Contact network for the configured day.
     let network = derive_network(&population, &visits, &locations, NETWORK_DAY, &mut rng);

@@ -86,10 +86,11 @@ pub struct LocationModel {
     pub locations: Vec<Location>,
     /// `by_county_kind[county][kind_index]` → location ids.
     index: Vec<[Vec<LocationId>; 6]>,
-    /// `totals[county][kind_index]` → f32 sum of those locations'
-    /// weights, accumulated in id order, so [`sample`](Self::sample)
-    /// need not re-sum them on every draw.
-    totals: Vec<[f32; 6]>,
+    /// `prefix[county][kind_index][i]` → f64 sum of the weights of the
+    /// first `i + 1` of those locations, accumulated in id order. The
+    /// last entry is the total; [`sample`](Self::sample) binary-searches
+    /// a draw below it.
+    prefix: Vec<[Vec<f64>; 6]>,
 }
 
 fn kind_index(k: LocationKind) -> usize {
@@ -145,14 +146,20 @@ impl LocationModel {
             }
             index.push(slot);
         }
-        let totals = index
+        let prefix = index
             .iter()
             .map(|slot| {
-                slot.each_ref()
-                    .map(|ids| ids.iter().map(|&id| locations[id as usize].weight).sum::<f32>())
+                slot.each_ref().map(|ids| {
+                    ids.iter()
+                        .scan(0.0f64, |acc, &id| {
+                            *acc += locations[id as usize].weight as f64;
+                            Some(*acc)
+                        })
+                        .collect()
+                })
             })
             .collect();
-        LocationModel { locations, index, totals }
+        LocationModel { locations, index, prefix }
     }
 
     /// Number of locations.
@@ -176,7 +183,8 @@ impl LocationModel {
     }
 
     /// Sample a location of `kind` in `county`, weighted by
-    /// attractiveness. Falls back to county 0 if the county is unknown.
+    /// attractiveness, in O(log n) over the county's candidates. Falls
+    /// back to county 0 if the county is unknown.
     pub fn sample<R: Rng + ?Sized>(
         &self,
         county: u16,
@@ -185,17 +193,18 @@ impl LocationModel {
     ) -> LocationId {
         let county = if (county as usize) < self.index.len() { county } else { 0 };
         let ids = self.in_county(county, kind);
-        assert!(!ids.is_empty(), "no {kind:?} locations in county {county}");
-        let total = self.totals[county as usize][kind_index(kind)];
-        let mut draw = rng.random_range(0.0f32..total);
-        for &id in ids {
-            draw -= self.locations[id as usize].weight;
-            if draw <= 0.0 {
-                return id;
-            }
-        }
-        *ids.last().expect("non-empty ids")
+        let prefix = &self.prefix[county as usize][kind_index(kind)];
+        let total =
+            *prefix.last().unwrap_or_else(|| panic!("no {kind:?} locations in county {county}"));
+        ids[pick(prefix, rng.random_range(0.0..total))]
     }
+}
+
+/// Index of the candidate a draw in `[0, total)` falls on: the first
+/// whose running sum exceeds it. A draw that rounds up to the total
+/// takes the last candidate.
+fn pick(prefix: &[f64], draw: f64) -> usize {
+    prefix.partition_point(|&p| p <= draw).min(prefix.len() - 1)
 }
 
 #[cfg(test)]
@@ -276,16 +285,57 @@ mod tests {
     }
 
     #[test]
-    fn cached_totals_match_a_fresh_in_order_sum() {
+    fn prefix_sums_end_at_the_in_order_total() {
         let mut rng = StdRng::seed_from_u64(7);
         let m = LocationModel::generate(&[9000, 350, 2200, 40], &mut rng);
         for county in 0..4u16 {
             for kind in ALL_KINDS {
                 let ids = m.in_county(county, kind);
-                let fresh: f32 = ids.iter().map(|&id| m.location(id).weight).sum();
-                let cached = m.totals[county as usize][kind_index(kind)];
-                assert_eq!(cached.to_bits(), fresh.to_bits(), "county {county} {kind:?}");
+                let prefix = &m.prefix[county as usize][kind_index(kind)];
+                assert_eq!(prefix.len(), ids.len());
+                let total = ids.iter().fold(0.0f64, |acc, &id| acc + m.location(id).weight as f64);
+                let last = *prefix.last().unwrap();
+                assert_eq!(last.to_bits(), total.to_bits(), "county {county} {kind:?}");
+                assert!(prefix.windows(2).all(|w| w[0] < w[1]), "county {county} {kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn draw_frequencies_match_weight_shares() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let m = LocationModel::generate(&[2400], &mut rng);
+        let shops = m.in_county(0, LocationKind::Shop);
+        assert_eq!(shops.len(), 20);
+        let total: f64 = shops.iter().map(|&id| m.location(id).weight as f64).sum();
+        let n = 200_000;
+        let mut hits = vec![0usize; m.len()];
+        for _ in 0..n {
+            hits[m.sample(0, LocationKind::Shop, &mut rng) as usize] += 1;
+        }
+        for &id in shops {
+            let share = m.location(id).weight as f64 / total;
+            let freq = hits[id as usize] as f64 / n as f64;
+            assert!(
+                (freq - share).abs() < 0.01,
+                "shop {id}: drawn {freq:.4}, weight share {share:.4}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_draw_just_below_the_total_takes_the_last_candidate() {
+        let prefix = [1.5, 2.0, 4.25];
+        assert_eq!(pick(&prefix, 4.25f64.next_down()), 2);
+        assert_eq!(pick(&prefix, 4.25), 2, "a draw rounded up to the total");
+        assert_eq!(pick(&prefix, 0.0), 0);
+        assert_eq!(pick(&prefix, 1.5), 1, "a running sum itself belongs to the next candidate");
+        let mut rng = StdRng::seed_from_u64(9);
+        let m = LocationModel::generate(&[700], &mut rng);
+        for kind in ALL_KINDS {
+            let prefix = &m.prefix[0][kind_index(kind)];
+            let below = prefix.last().unwrap().next_down();
+            assert_eq!(pick(prefix, below), prefix.len() - 1, "{kind:?}");
         }
     }
 
