@@ -5,6 +5,10 @@
 //! lockdown durations × 2 lockdown compliances) with replicates on a
 //! set of regions, evaluates the medical-cost model on each cell, and
 //! prints the cost matrix — the outcome table policymakers received.
+//! Next to the figures scaled up to the real population it prints the
+//! simulated hospitalizations and ventilations they rest on (mean per
+//! replicate, summed over the panel), which at this scale are a handful
+//! of agents per cell.
 //!
 //! ```bash
 //! cargo run --release --example medical_costs
@@ -45,8 +49,17 @@ fn main() {
         12 * panel.len() * workflow.replicates as usize
     );
     println!(
-        "{:>5} {:>5} {:>7} {:>7} {:>12} {:>10} {:>8} {:>16}",
-        "cell", "VHI", "SHdays", "SHcomp", "infections", "hosp", "vent", "medical cost"
+        "{:>5} {:>5} {:>7} {:>7} {:>12} {:>10} {:>8} {:>8} {:>8} {:>16}",
+        "cell",
+        "VHI",
+        "SHdays",
+        "SHcomp",
+        "infections",
+        "hosp",
+        "vent",
+        "sim hosp",
+        "sim vent",
+        "medical cost"
     );
 
     // Aggregate each cell's cost across the panel.
@@ -70,7 +83,7 @@ fn main() {
         let (cost, infections, hosp, vent) = totals[i];
         let real_cost = cost * dollars_scale;
         println!(
-            "{:>5} {:>5.1} {:>7} {:>7.1} {:>12.0} {:>10} {:>8} {:>15.1}M",
+            "{:>5} {:>5.1} {:>7} {:>7.1} {:>12.0} {:>10} {:>8} {:>8} {:>8} {:>15.1}M",
             cell.cell,
             cell.vhi_compliance,
             cell.sh_end - cell.sh_start,
@@ -78,6 +91,8 @@ fn main() {
             infections * dollars_scale,
             hosp as f64 * dollars_scale,
             vent as f64 * dollars_scale,
+            hosp,
+            vent,
             real_cost / 1e6
         );
         if best.is_none() || real_cost < best.unwrap().1 {
@@ -106,6 +121,16 @@ fn main() {
         cells[wi].sh_compliance * 100.0,
         wc / 1e6,
         wc / bc
+    );
+    println!(
+        "the ranking rests on {} vs {} simulated hospitalizations and {} vs {} ventilations\n\
+         (cheapest vs costliest cell; mean per replicate over {} replicates, summed over {})",
+        totals[bi].2,
+        totals[wi].2,
+        totals[bi].3,
+        totals[wi].3,
+        workflow.replicates,
+        panel.join(", ")
     );
     println!(
         "\n(the paper's [9] reports national medical costs under these NPI scenarios;\n\
