@@ -6,8 +6,8 @@
 //! network. The pre-ensemble runner paid the network build — CSR
 //! arrays, partitioning, attribute derivation — once per *replicate*;
 //! the [`EnsembleRunner`] pays it once per ⟨region, partition count⟩
-//! and shares an `Arc<SimContext>` (plus pooled per-worker scratch)
-//! across the whole grid.
+//! and shares an `Arc<SimContext>` across the whole grid; each run
+//! still owns its own buffers.
 //!
 //! This bench runs the same design both ways at several replicate
 //! counts and emits `BENCH_ensemble.json`. Every compared pair is first

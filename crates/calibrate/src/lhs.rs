@@ -103,17 +103,6 @@ impl ParamSpace {
             })
             .collect()
     }
-
-    /// Uniform random sample (for comparisons with LHS in tests/benches).
-    pub fn sample_uniform(&self, n: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let unit: Vec<f64> = (0..self.dim()).map(|_| rng.random_range(0.0..1.0)).collect();
-                self.to_real(&unit)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@
 //! [`design`] defines cells (model configurations) and study designs;
 //! [`runner`] executes ⟨cell, region, replicate⟩ grids on rayon — the
 //! [`runner::EnsembleRunner`] builds the region's network/partitioning
-//! once and shares it (plus pooled per-worker scratch) across the whole
-//! grid, and all three simulation workflows expose `run_with` to reuse
-//! one context across an entire nightly pipeline.
+//! once and shares it across the whole grid, and all three simulation
+//! workflows expose `run_with` to reuse one context across an entire
+//! nightly pipeline.
 
 pub mod calibration;
 pub mod combined;

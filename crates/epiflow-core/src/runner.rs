@@ -5,8 +5,8 @@
 //! [`EnsembleRunner`] exploits that by building one shared
 //! [`SimContext`] per ⟨region, partition count⟩ — CSR network,
 //! partitioning, per-node attributes — and fanning the cells×replicates
-//! grid out over rayon with one pooled [`SimScratch`] per worker, so
-//! per-replicate cost is the tick loop and nothing else. The
+//! grid out over rayon, so per-replicate cost is the per-run mutable
+//! state and the tick loop, nothing else. The
 //! free-standing [`run_cell`] is a one-off runner (one context per
 //! call); results are byte-identical for the same seeds either way.
 
@@ -17,12 +17,10 @@ use epiflow_epihiper::interventions::{
     base_case, ContactTracing, PartialReopening, PulsingShutdown, TestAndIsolate,
 };
 use epiflow_epihiper::{
-    DiseaseModel, InterventionSet, SimConfig, SimContext, SimOutput, SimResult, SimScratch,
-    Simulation,
+    DiseaseModel, InterventionSet, SimConfig, SimContext, SimOutput, SimResult, Simulation,
 };
 use epiflow_surveillance::RegionId;
 use epiflow_synthpop::builder::RegionData;
-use epiflow_synthpop::ContactNetwork;
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -199,15 +197,11 @@ pub fn run_cell(
 ///
 /// Construction pays the O(V + E) network build, partitioning, and
 /// attribute derivation exactly once; every [`EnsembleRunner::run_cell`]
-/// after that only allocates the per-replicate mutable state, and
-/// [`EnsembleRunner::run_design`] additionally pools one [`SimScratch`]
-/// per rayon worker so steady-state replicates reuse event buffers and
-/// output rows across runs. All of it is byte-identical to a run on a
-/// fresh context and scratch ([`run_cell`]) for the same seeds — the
-/// context and the scratch carry no state that can influence results.
+/// after that only allocates the per-replicate mutable state. All of it
+/// is byte-identical to a run on a fresh context ([`run_cell`]) for the
+/// same seeds — the context carries no state that can influence results.
 pub struct EnsembleRunner {
     region: RegionId,
-    n_partitions: usize,
     ctx: Arc<SimContext>,
 }
 
@@ -215,30 +209,14 @@ impl EnsembleRunner {
     /// Build the shared context for ⟨region, `n_partitions`⟩.
     pub fn new(data: &RegionData, n_partitions: usize) -> Self {
         let (age_group, county) = derive_attributes(data);
-        Self::from_parts(data.region, &data.network, age_group, county, n_partitions)
-    }
-
-    /// Build from raw parts (synthetic networks, benches, tests).
-    /// `age_group` and `county` must have one entry per node.
-    pub fn from_parts(
-        region: RegionId,
-        network: &ContactNetwork,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        n_partitions: usize,
-    ) -> Self {
-        let ctx = Arc::new(SimContext::build(network, age_group, county, n_partitions, EPSILON));
-        EnsembleRunner { region, n_partitions, ctx }
+        let ctx =
+            Arc::new(SimContext::build(&data.network, age_group, county, n_partitions, EPSILON));
+        EnsembleRunner { region: data.region, ctx }
     }
 
     /// The shared context (e.g. for [`Simulation::resume_with_context`]).
     pub fn context(&self) -> &Arc<SimContext> {
         &self.ctx
-    }
-
-    /// The partition count the context was built for.
-    pub fn n_partitions(&self) -> usize {
-        self.n_partitions
     }
 
     /// Run one ⟨cell, replicate⟩ against the shared context.
@@ -249,22 +227,6 @@ impl EnsembleRunner {
         record_transitions: bool,
         base_seed: u64,
     ) -> CellRunSummary {
-        let mut scratch = SimScratch::new();
-        self.run_cell_pooled(cell, replicate, record_transitions, base_seed, &mut scratch)
-    }
-
-    /// [`EnsembleRunner::run_cell`] with caller-pooled scratch: the
-    /// buffers are moved into the simulation for the run and moved back
-    /// out afterwards, so a worker looping over replicates reuses its
-    /// event vectors and output rows across runs.
-    pub fn run_cell_pooled(
-        &self,
-        cell: &CellConfig,
-        replicate: u32,
-        record_transitions: bool,
-        base_seed: u64,
-        scratch: &mut SimScratch,
-    ) -> CellRunSummary {
         let model = configure_model(cell);
         let interventions = configure_interventions(cell);
         let seed = replicate_seed(base_seed, self.region, cell.cell, replicate);
@@ -272,17 +234,14 @@ impl EnsembleRunner {
             self.ctx.clone(),
             model,
             interventions,
-            cell_sim_config(cell, seed, self.n_partitions, record_transitions),
+            cell_sim_config(cell, seed, self.ctx.n_partitions, record_transitions),
         );
-        sim.install_scratch(std::mem::take(scratch));
-        let result = sim.run();
-        *scratch = sim.take_scratch();
-        summarize(self.region, cell, replicate, result)
+        summarize(self.region, cell, replicate, sim.run())
     }
 
-    /// Run a full design, parallel over ⟨cell, replicate⟩ with pooled
-    /// per-worker scratch. Jobs carry the cell's *index*, so dispatch
-    /// is O(1) per job regardless of design size.
+    /// Run a full design, parallel over ⟨cell, replicate⟩. Jobs carry
+    /// the cell's *index*, so dispatch is O(1) per job regardless of
+    /// design size.
     pub fn run_design(&self, design: &StudyDesign, base_seed: u64) -> Vec<CellRunSummary> {
         let jobs: Vec<(usize, u32)> = design
             .cells
@@ -291,9 +250,7 @@ impl EnsembleRunner {
             .flat_map(|(i, _)| (0..design.replicates).map(move |r| (i, r)))
             .collect();
         jobs.par_iter()
-            .map_init(SimScratch::new, |scratch, &(ci, rep)| {
-                self.run_cell_pooled(&design.cells[ci], rep, false, base_seed, scratch)
-            })
+            .map(|&(ci, rep)| self.run_cell(&design.cells[ci], rep, false, base_seed))
             .collect()
     }
 }
@@ -405,9 +362,9 @@ mod tests {
     }
 
     /// The headline ensemble invariant at the workflow layer: a shared
-    /// context (with pooled scratch carried across replicates) produces
-    /// byte-identical output to a one-off context and scratch on every
-    /// ⟨cell, replicate⟩ — aggregates *and* transition logs.
+    /// context reused across replicates produces byte-identical output
+    /// to a one-off context on every ⟨cell, replicate⟩ — aggregates
+    /// *and* transition logs.
     #[test]
     fn ensemble_runner_byte_identical_to_fresh_build() {
         let data = small_region();
@@ -417,11 +374,10 @@ mod tests {
         ];
         for parts in [1usize, 4] {
             let runner = EnsembleRunner::new(&data, parts);
-            let mut scratch = epiflow_epihiper::SimScratch::new();
             for cell in &cells {
                 for rep in 0..2u32 {
                     let fresh = run_cell(&data, cell, rep, parts, true, 11);
-                    let shared = runner.run_cell_pooled(cell, rep, true, 11, &mut scratch);
+                    let shared = runner.run_cell(cell, rep, true, 11);
                     assert_eq!(
                         shared.output, fresh.output,
                         "cell {} rep {rep} parts {parts} diverged",
@@ -437,8 +393,8 @@ mod tests {
     /// run_design keeps the exact per-job outputs of single fresh runs,
     /// in cell-major order, even
     /// when jobs of very different lengths outnumber the workers — so
-    /// dynamic claiming changes which worker (and which pooled scratch)
-    /// runs which job from one call to the next.
+    /// dynamic claiming changes which worker runs which job from one
+    /// call to the next.
     #[test]
     fn run_design_matches_per_job_fresh_builds() {
         let data = small_region();

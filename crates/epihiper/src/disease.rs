@@ -191,11 +191,6 @@ impl DiseaseModel {
         self.progressions.iter().filter(move |p| p.from == state)
     }
 
-    /// Transmission edges that can infect `state` (i.e. `from == state`).
-    pub fn transmissions_for(&self, state: StateId) -> impl Iterator<Item = &Transmission> {
-        self.transmissions.iter().filter(move |t| t.from == state)
-    }
-
     /// Sample the progression out of `state` for `age_group`:
     /// `(next_state, dwell_days)`, or `None` for terminal states.
     pub fn sample_progression<R: Rng + ?Sized>(

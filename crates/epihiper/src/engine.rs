@@ -391,7 +391,7 @@ pub struct SimResult {
 /// Reusable per-partition scan state: the due-progression buffer, the
 /// event output buffer, and the Gillespie scratch. Owned by the
 /// simulation and handed to one worker per tick, so the hot loop
-/// allocates nothing.
+/// allocates nothing once the buffers have grown.
 #[derive(Debug, Default)]
 struct Workspace {
     part: usize,
@@ -404,42 +404,6 @@ struct Workspace {
     /// reused by the Gillespie pick so the in-edge list is walked once.
     scratch: Vec<(f64, u32, StateId)>,
     edges_scanned: u64,
-}
-
-/// Reusable run buffers: the per-partition [`Workspace`]s plus the
-/// per-tick aggregation rows. A fresh simulation starts with an empty
-/// scratch and grows it during the first ticks; an ensemble runner
-/// instead moves one scratch per worker from replicate to replicate
-/// ([`Simulation::install_scratch`] / [`Simulation::take_scratch`]), so
-/// steady-state ensemble throughput allocates nothing per run. Buffer
-/// *contents* never affect results — every buffer is cleared, re-sized,
-/// or re-pointed before use — only capacity is carried over.
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    workspaces: Vec<Workspace>,
-    /// New-transition counts per state this tick.
-    new_row: Vec<u32>,
-    /// New-transition counts per (county, state) this tick.
-    county_row: Vec<Vec<u32>>,
-}
-
-impl SimScratch {
-    /// An empty scratch (what a fresh simulation starts with).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Point the per-partition workspaces at `partitioning`'s ranges,
-    /// keeping each workspace's buffers. Called at the top of every
-    /// `run`, so an installed scratch may come from a simulation with a
-    /// different partitioning (or network) entirely.
-    fn configure(&mut self, partitioning: &Partitioning) {
-        self.workspaces.resize_with(partitioning.len(), Workspace::default);
-        for (k, (ws, r)) in self.workspaces.iter_mut().zip(&partitioning.ranges).enumerate() {
-            ws.part = k;
-            ws.range = r.clone();
-        }
-    }
 }
 
 /// A configured simulation, ready to run.
@@ -469,7 +433,8 @@ pub struct Simulation {
     active: ActiveSet,
     /// Scheduled progressions, bucketed by firing tick.
     buckets: TickBuckets,
-    scratch: SimScratch,
+    /// One scan workspace per partition, pointed at its node range.
+    workspaces: Vec<Workspace>,
     /// Last observed [`SimState::health_epoch`]; a mismatch means an
     /// intervention (or test harness) wrote health states externally
     /// and the frontier index must be rebuilt.
@@ -544,6 +509,13 @@ impl Simulation {
         let buckets = TickBuckets::new(ctx.partitioning.len());
         let active = ActiveSet::new(ctx.net.n_nodes);
         let inf_nbr_count = vec![0u32; ctx.net.n_nodes];
+        let workspaces = ctx
+            .partitioning
+            .ranges
+            .iter()
+            .enumerate()
+            .map(|(part, range)| Workspace { part, range: range.clone(), ..Default::default() })
+            .collect();
 
         let mut sim = Simulation {
             ctx,
@@ -556,7 +528,7 @@ impl Simulation {
             inf_nbr_count,
             active,
             buckets,
-            scratch: SimScratch::default(),
+            workspaces,
             seen_health_epoch: 0,
             start_tick: 0,
             carry: None,
@@ -588,18 +560,6 @@ impl Simulation {
     /// County index per node.
     pub fn county(&self) -> &[u16] {
         &self.ctx.county
-    }
-
-    /// Swap in a pooled [`SimScratch`] from a previous run (ensemble
-    /// buffer reuse across replicates). Purely a capacity transfer:
-    /// results are identical whether or not a scratch is installed.
-    pub fn install_scratch(&mut self, scratch: SimScratch) {
-        self.scratch = scratch;
-    }
-
-    /// Take the scratch buffers back out, for the next replicate.
-    pub fn take_scratch(&mut self) -> SimScratch {
-        std::mem::take(&mut self.scratch)
     }
 
     /// Recompute the frontier index (`inf_nbr_count` + [`ActiveSet`])
@@ -939,24 +899,10 @@ impl Simulation {
         }
 
         let started = std::time::Instant::now();
-        // Per-tick aggregation rows, owned by the reusable scratch and
-        // re-zeroed by replaying the tick's events (cheaper than a
-        // dense fill when events are sparse). Taken out of the scratch
-        // and deterministically re-shaped so a scratch pooled from a
-        // different run (or region) yields identical bytes.
-        self.scratch.configure(&self.ctx.partitioning);
-        let mut new_row = std::mem::take(&mut self.scratch.new_row);
-        new_row.clear();
-        new_row.resize(ns, 0);
-        let mut county_row = std::mem::take(&mut self.scratch.county_row);
-        county_row.truncate(self.ctx.n_counties);
-        for row in &mut county_row {
-            row.clear();
-            row.resize(ns, 0);
-        }
-        while county_row.len() < self.ctx.n_counties {
-            county_row.push(vec![0u32; ns]);
-        }
+        // Per-tick aggregation rows, re-zeroed by replaying the tick's
+        // events (cheaper than a dense fill when events are sparse).
+        let mut new_row = vec![0u32; ns];
+        let mut county_row = vec![vec![0u32; ns]; self.ctx.n_counties];
 
         for t in first_tick..self.config.ticks {
             // 1. Interventions.
@@ -982,7 +928,7 @@ impl Simulation {
             }
 
             // 2. Parallel scan into the per-partition workspaces.
-            let mut wss = std::mem::take(&mut self.scratch.workspaces);
+            let mut wss = std::mem::take(&mut self.workspaces);
             for ws in &mut wss {
                 ws.events.clear();
                 ws.edges_scanned = 0;
@@ -1038,7 +984,7 @@ impl Simulation {
                         0;
                 }
             }
-            self.scratch.workspaces = wss;
+            self.workspaces = wss;
             output.memory_bytes.push(
                 self.ctx.net.static_memory_bytes()
                     + self.state.dynamic_memory_bytes()
@@ -1046,10 +992,6 @@ impl Simulation {
                     + cum_transitions * 24,
             );
         }
-
-        // Return the aggregation rows to the scratch for the next run.
-        self.scratch.new_row = new_row;
-        self.scratch.county_row = county_row;
 
         // Park the continuation so a later `snapshot()` can capture it
         // (and a redundant `run()` call replays the same result).
@@ -1902,9 +1844,8 @@ mod tests {
         assert_eq!(try_resume(&snap), Ok(()));
     }
 
-    /// A context-backed simulation (shared `Arc<SimContext>`, pooled
-    /// scratch moved from replicate to replicate) must be byte-identical
-    /// to the fresh-build path on every output series.
+    /// A context-backed simulation (shared `Arc<SimContext>`) must be
+    /// byte-identical to the fresh-build path on every output series.
     #[test]
     fn shared_context_byte_identical_to_fresh_build() {
         let net = dense_network(50);
@@ -1919,7 +1860,6 @@ mod tests {
                 parts,
                 SimConfig::default().epsilon,
             ));
-            let mut scratch = SimScratch::new();
             for seed in [1u64, 9, 42] {
                 let fresh = sim_on(&net, 1.5, cfg(seed)).run();
                 let mut shared = Simulation::new_with_context(
@@ -1928,12 +1868,27 @@ mod tests {
                     InterventionSet::default(),
                     cfg(seed),
                 );
-                shared.install_scratch(scratch);
                 let res = shared.run();
-                scratch = shared.take_scratch();
                 assert_eq!(res.output, fresh.output, "seed {seed} / {parts} partitions");
                 assert_eq!(res.stats, fresh.stats, "stats diverge at seed {seed}");
             }
+        }
+    }
+
+    /// A second `run()` on a finished simulation runs no ticks and
+    /// replays the parked continuation: same output, same stats.
+    #[test]
+    fn repeated_run_replays_the_same_result() {
+        let net = dense_network(50);
+        for parts in [1usize, 4] {
+            let cfg = SimConfig { ticks: 40, seed: 7, n_partitions: parts, ..Default::default() };
+            let mut sim = sim_on(&net, 1.5, cfg);
+            let first = sim.run();
+            assert!(first.stats.events.iter().sum::<u32>() > 0, "the epidemic must spread");
+            let second = sim.run();
+            assert_eq!(second.output, first.output, "{parts} partitions");
+            assert_eq!(second.stats, first.stats, "{parts} partitions");
+            assert_eq!(second.ticks_run, first.ticks_run);
         }
     }
 

@@ -49,7 +49,7 @@ pub use checkpoint::{
 };
 pub use covid::covid19_model;
 pub use disease::{DiseaseModel, DwellTime, Progression, StateId, Transmission};
-pub use engine::{EngineStats, RunCarry, SimConfig, SimContext, SimResult, SimScratch, Simulation};
+pub use engine::{EngineStats, RunCarry, SimConfig, SimContext, SimResult, Simulation};
 pub use frontier::{ActiveSet, TickBuckets};
 pub use interventions::{Intervention, InterventionSet};
 pub use output::{DendogramStats, SimOutput, TransitionRecord};

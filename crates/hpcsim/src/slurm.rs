@@ -114,13 +114,6 @@ impl SlurmStats {
     pub fn finished_all(&self) -> bool {
         self.unstarted == 0
     }
-
-    /// Health signal for the cluster's circuit breaker: the run counts
-    /// as a failure once it lost work to preemption or left tasks
-    /// unstarted.
-    pub fn healthy(&self) -> bool {
-        self.finished_all() && self.preempted == 0
-    }
 }
 
 /// A fault-injection event: `nodes` compute nodes drop out of the

@@ -55,11 +55,6 @@ impl Mat {
         Mat { rows: r, cols: c, data }
     }
 
-    /// Build a column vector (n × 1).
-    pub fn col_vec(v: &[f64]) -> Self {
-        Mat { rows: v.len(), cols: 1, data: v.to_vec() }
-    }
-
     /// A diagonal matrix from the given diagonal entries.
     pub fn diag(d: &[f64]) -> Self {
         let mut m = Mat::zeros(d.len(), d.len());
@@ -174,11 +169,6 @@ impl Mat {
             }
         }
         true
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 }
 

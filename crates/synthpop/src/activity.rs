@@ -93,18 +93,6 @@ pub struct WeeklyPattern {
     pub activities: Vec<Activity>,
 }
 
-impl WeeklyPattern {
-    /// Activities on a given day of the week.
-    pub fn on_day(&self, day: u8) -> impl Iterator<Item = &Activity> {
-        self.activities.iter().filter(move |a| a.day == day)
-    }
-
-    /// Total out-of-home minutes across the week.
-    pub fn total_minutes(&self) -> u32 {
-        self.activities.iter().map(|a| a.duration as u32).sum()
-    }
-}
-
 /// The person archetypes the CART-like tree maps demographics onto.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Archetype {

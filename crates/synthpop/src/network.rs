@@ -16,7 +16,6 @@ use crate::location::LocationKind;
 use crate::person::Population;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One undirected contact edge (`u < v` by construction).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -236,16 +235,6 @@ impl ContactNetwork {
             max_degree: d.iter().copied().max().unwrap_or(0),
             isolated,
         }
-    }
-
-    /// Histogram of edge counts by (unordered) context pair label of the
-    /// *first* endpoint — a quick view of the network's context mix.
-    pub fn context_histogram(&self) -> HashMap<ActivityType, usize> {
-        let mut h = HashMap::new();
-        for e in &self.edges {
-            *h.entry(e.ctx_u).or_insert(0) += 1;
-        }
-        h
     }
 
     /// Serialize edges to the CSV schema the paper describes: the two

@@ -1,6 +1,5 @@
 //! Offline shim for the subset of the `rayon` API used by this
 //! workspace: `slice.par_iter().map(f).collect::<Vec<_>>()`,
-//! `slice.par_iter().map_init(init, f).collect::<Vec<_>>()`,
 //! `collection.into_par_iter().map(f).collect::<Vec<_>>()`, and
 //! `slice.par_iter_mut().for_each(f)`.
 //!
@@ -188,35 +187,29 @@ impl Pool {
     }
 }
 
-/// The one engine behind every entry point: `f(state, i)` for every
-/// `i < n`, results in index order. Each participating thread calls
-/// `init` once, on the first index it claims.
-fn map_indexed<S, R, I, F>(n: usize, init: I, f: F) -> Vec<R>
+/// The one engine behind every entry point: `f(i)` for every `i < n`,
+/// results in index order.
+fn map_indexed<R, F>(n: usize, f: F) -> Vec<R>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
     R: Send,
 {
     let helpers = if n <= 1 || IN_POOL.with(Cell::get) { 0 } else { pool().workers.min(n - 1) };
     if helpers == 0 {
-        let mut state = None;
-        return (0..n).map(|i| f(state.get_or_insert_with(&init), i)).collect();
+        return (0..n).map(f).collect();
     }
     // The counter only hands out indexes: the RMW makes each claim
     // unique, and results are published through the slot mutexes and
     // the call latch, so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool().broadcast(helpers, &|| {
-        let mut state = None;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let r = f(state.get_or_insert_with(&init), i);
-            *lock(&slots[i]) = Some(r);
+    pool().broadcast(helpers, &|| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let r = f(i);
+        *lock(&slots[i]) = Some(r);
     });
     slots
         .into_iter()
@@ -239,13 +232,6 @@ pub struct ParSliceMap<'a, T, F> {
     f: F,
 }
 
-/// `par_iter().map_init(init, f)` — per-worker reusable state.
-pub struct ParSliceMapInit<'a, T, I, F> {
-    slice: &'a [T],
-    init: I,
-    f: F,
-}
-
 impl<'a, T: Sync> ParSlice<'a, T> {
     pub fn map<R, F>(self, f: F) -> ParSliceMap<'a, T, F>
     where
@@ -253,32 +239,6 @@ impl<'a, T: Sync> ParSlice<'a, T> {
         R: Send,
     {
         ParSliceMap { slice: self.slice, f }
-    }
-
-    /// Like rayon's `map_init`: each participating thread calls `init`
-    /// once and threads the resulting state through every element it
-    /// processes (scratch-buffer pooling across items, not just within
-    /// one).
-    pub fn map_init<S, R, I, F>(self, init: I, f: F) -> ParSliceMapInit<'a, T, I, F>
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &'a T) -> R + Sync,
-        R: Send,
-    {
-        ParSliceMapInit { slice: self.slice, init, f }
-    }
-}
-
-impl<'a, T: Sync, I, F> ParSliceMapInit<'a, T, I, F> {
-    pub fn collect<C, S, R>(self) -> C
-    where
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &'a T) -> R + Sync,
-        R: Send,
-        C: FromIterator<R>,
-    {
-        let (slice, f) = (self.slice, &self.f);
-        map_indexed(slice.len(), &self.init, |state, i| f(state, &slice[i])).into_iter().collect()
     }
 }
 
@@ -290,7 +250,7 @@ impl<'a, T: Sync, F> ParSliceMap<'a, T, F> {
         C: FromIterator<R>,
     {
         let (slice, f) = (self.slice, &self.f);
-        map_indexed(slice.len(), || (), |_, i| f(&slice[i])).into_iter().collect()
+        map_indexed(slice.len(), |i| f(&slice[i])).into_iter().collect()
     }
 }
 
@@ -324,15 +284,11 @@ impl<T: Send, F> ParItemsMap<T, F> {
         let f = &self.f;
         let items: Vec<Mutex<Option<T>>> =
             self.items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-        map_indexed(
-            items.len(),
-            || (),
-            |_, i| {
-                // Move the item out first: `f` must not run under the lock.
-                let x = lock(&items[i]).take().expect("each index is claimed once");
-                f(x)
-            },
-        )
+        map_indexed(items.len(), |i| {
+            // Move the item out first: `f` must not run under the lock.
+            let x = lock(&items[i]).take().expect("each index is claimed once");
+            f(x)
+        })
         .into_iter()
         .collect()
     }
@@ -432,9 +388,8 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
+    use std::sync::Barrier;
     use std::thread::{self, ThreadId};
 
     /// Threads that can take part in one top-level call.
@@ -472,44 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn map_init_preserves_order_and_reuses_state() {
-        let inits: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
-        let xs: Vec<u64> = (0..10_000).collect();
-        let out: Vec<u64> = xs
-            .par_iter()
-            .map_init(
-                || {
-                    inits.lock().unwrap().push(thread::current().id());
-                    Vec::<u64>::new()
-                },
-                |buf, &x| {
-                    buf.push(x);
-                    x * 3
-                },
-            )
-            .collect();
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, 3 * i as u64);
-        }
-        // At most one init per participating thread, not one per item.
-        let ids = inits.into_inner().unwrap();
-        assert!((1..=pool_threads()).contains(&ids.len()), "{} inits", ids.len());
-        let distinct: HashSet<ThreadId> = ids.iter().copied().collect();
-        assert_eq!(distinct.len(), ids.len(), "some thread called init twice");
-    }
-
-    #[test]
     fn empty_and_single() {
         let none: Vec<u32> = Vec::<u32>::new().par_iter().map(|x| *x).collect();
         assert!(none.is_empty());
         let none: Vec<u32> = Vec::<u32>::new().into_par_iter().map(|x| x).collect();
         assert!(none.is_empty());
-        let none: Vec<u32> = Vec::<u32>::new().par_iter().map_init(|| (), |_, x| *x).collect();
-        assert!(none.is_empty());
         let one: Vec<u32> = vec![7u32].into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
-        let one: Vec<u32> = [7u32].par_iter().map_init(|| 2, |k, x| x * *k).collect();
-        assert_eq!(one, vec![14]);
         let mut one = [7u32];
         one.par_iter_mut().for_each(|x| *x += 1);
         assert_eq!(one, [8]);
@@ -533,21 +457,18 @@ mod tests {
             assert_eq!(sum, o as u64 * (0..50).sum::<u64>());
             assert!(same_thread, "inner items of outer item {o} left its thread");
         }
-        // The same holds for `par_iter_mut` inside `map_init`.
+        // The same holds for `par_iter_mut` inside `par_iter().map`.
         let rows: Vec<Vec<u64>> = outer
             .par_iter()
-            .map_init(
-                || (),
-                |_, &o| {
-                    let me = thread::current().id();
-                    let mut row = vec![o; 8];
-                    row.par_iter_mut().for_each(|x| {
-                        assert_eq!(thread::current().id(), me);
-                        *x += 1;
-                    });
-                    row
-                },
-            )
+            .map(|&o| {
+                let me = thread::current().id();
+                let mut row = vec![o; 8];
+                row.par_iter_mut().for_each(|x| {
+                    assert_eq!(thread::current().id(), me);
+                    *x += 1;
+                });
+                row
+            })
             .collect();
         assert!(rows.iter().enumerate().all(|(o, r)| r == &vec![o as u64 + 1; 8]));
     }

@@ -3,9 +3,7 @@
 use epiflow::core::CombinedWorkflow;
 use epiflow::epihiper::checkpoint::SimSnapshot;
 use epiflow::epihiper::disease::sir_model;
-use epiflow::epihiper::engine::{
-    CounterRng, SimConfig, SimContext, SimResult, SimScratch, Simulation,
-};
+use epiflow::epihiper::engine::{CounterRng, SimConfig, SimContext, SimResult, Simulation};
 use epiflow::epihiper::interventions::{
     GenericIntervention, InterventionSet, Operation, StayAtHome, Target, Trigger,
 };
@@ -648,10 +646,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The ensemble invariant: one shared [`SimContext`] per partition
-    /// count, reused across a ⟨cell (beta), replicate (seed)⟩ grid with
-    /// pooled scratch carried run-to-run, is byte-identical to building
-    /// every simulation from scratch — outputs, telemetry, and snapshot
-    /// wire bytes alike. A context-backed run interrupted mid-flight
+    /// count, reused across a ⟨cell (beta), replicate (seed)⟩ grid, is
+    /// byte-identical to building every simulation from scratch —
+    /// outputs, telemetry, and snapshot wire bytes alike. A context-backed run interrupted mid-flight
     /// also resumes through the same shared `Arc` to the same bytes.
     #[test]
     fn shared_context_grid_byte_identical(
@@ -677,7 +674,6 @@ proptest! {
                 parts,
                 SimConfig::default().epsilon,
             ));
-            let mut scratch = SimScratch::new();
             for (cell, &beta) in betas.iter().enumerate() {
                 for rep in 0..2u64 {
                     let seed = base_seed ^ ((cell as u64) << 16) ^ rep;
@@ -696,9 +692,7 @@ proptest! {
                         InterventionSet::default(),
                         cfg(seed, 30, parts),
                     );
-                    shared.install_scratch(std::mem::take(&mut scratch));
                     let shared_out = shared.run();
-                    scratch = shared.take_scratch();
                     prop_assert_eq!(
                         &fresh_out.output, &shared_out.output,
                         "cell {} rep {} diverged at {} partitions", cell, rep, parts
@@ -724,9 +718,7 @@ proptest! {
                 InterventionSet::default(),
                 cfg(seed, k, parts),
             );
-            interrupted.install_scratch(std::mem::take(&mut scratch));
             interrupted.run();
-            scratch = interrupted.take_scratch();
             let bytes = interrupted.snapshot().encode();
             let snap = SimSnapshot::decode(&bytes).expect("snapshot wire round-trip");
             let mut resumed = Simulation::resume_with_context(
