@@ -1,4 +1,4 @@
-//! Medical-cost model (case study 1, [9]).
+//! Medical-cost model (case study 1, \[9\]).
 //!
 //! "The medical costs include costs incurred by COVID-19 patients for
 //! medical attention, hospitalization, ventilator support, etc. For
@@ -12,10 +12,9 @@
 
 use epiflow_epihiper::covid::states;
 use epiflow_epihiper::SimOutput;
-use serde::{Deserialize, Serialize};
 
 /// Unit costs in 2020 US dollars.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Outpatient medical-attention visit.
     pub attended_visit: f64,
@@ -39,7 +38,7 @@ impl Default for CostModel {
 }
 
 /// A cost breakdown for one simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CostReport {
     pub n_attended: u64,
     pub n_hospitalized: u64,

@@ -1,4 +1,4 @@
-//! Post-simulation analytics (paper §II, Fig. 3–5 step [4], §VII).
+//! Post-simulation analytics (paper §II, Fig. 3–5 step \[4\], §VII).
 //!
 //! * [`targets`] — forecast-target extraction from simulation output:
 //!   daily confirmed cases, hospitalizations, ventilations, deaths at
@@ -6,7 +6,7 @@
 //!   (new / cumulative / current).
 //! * [`ensemble`] — ensembles across replicates and cells: quantile
 //!   bands, medians, the uncertainty quantification behind Fig. 17.
-//! * [`costs`] — the medical-cost model of case study 1 ([9]):
+//! * [`costs`] — the medical-cost model of case study 1 (\[9\]):
 //!   per-patient costs by maximum severity (attended / hospitalized /
 //!   ventilated), totaled per scenario.
 //! * [`volume`] — raw/summary output volume accounting (Tables I–II).

@@ -9,10 +9,8 @@
 //!   ⟨cell, region, replicate⟩, plus county-level rows;
 //! * input: person-trait and contact-network CSV sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Volume accounting for one workflow run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkflowVolume {
     pub cells: usize,
     pub regions: usize,
@@ -28,7 +26,7 @@ pub struct WorkflowVolume {
 }
 
 /// The derived byte counts.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct VolumeReport {
     pub n_simulations: usize,
     pub raw_bytes: u64,

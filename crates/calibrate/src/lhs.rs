@@ -1,4 +1,4 @@
-//! Parameter spaces and Latin hypercube sampling (McKay et al. [35]).
+//! Parameter spaces and Latin hypercube sampling (McKay et al. \[35\]).
 //!
 //! The paper's case study 3: "We created a design of 100 configurations
 //! (prior) with the Latin hypercube sampling method."
@@ -78,7 +78,7 @@ impl ParamSpace {
         let d = self.dim();
         let mut rng = StdRng::seed_from_u64(seed);
         // Per-dimension stratified permutations.
-        let mut strata: Vec<Vec<usize>> = (0..d)
+        let strata: Vec<Vec<usize>> = (0..d)
             .map(|_| {
                 let mut idx: Vec<usize> = (0..n).collect();
                 // Fisher–Yates.
@@ -97,8 +97,6 @@ impl ParamSpace {
                         (stratum as f64 + rng.random_range(0.0..1.0)) / n as f64
                     })
                     .collect();
-                // `strata` not consumed; silence the borrow by reborrow.
-                let _ = &mut strata;
                 self.to_real(&unit)
             })
             .collect()

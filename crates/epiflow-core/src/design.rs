@@ -7,12 +7,10 @@
 //! initializations, and the number of days to simulate."
 
 use epiflow_calibrate::ParamSpace;
-use serde::{Deserialize, Serialize};
 
 /// Interventions beyond the base VHI+SC+SH stack (the Fig.-7-bottom
 /// ladder).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ExtraIntervention {
     /// Partial reopening at `day` releasing `level` of compliant nodes.
     Ro { day: u32, level: f64 },
@@ -27,7 +25,7 @@ pub enum ExtraIntervention {
 }
 
 /// One model configuration (cell).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CellConfig {
     /// Cell index within its design.
     pub cell: u32,
@@ -107,7 +105,7 @@ impl CellConfig {
 }
 
 /// A study design: a list of cells plus a replicate count per cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StudyDesign {
     pub cells: Vec<CellConfig>,
     pub replicates: u32,
@@ -246,14 +244,5 @@ mod tests {
         let d = StudyDesign::from_posterior(&draws, &CellConfig::default(), 15);
         assert_eq!(d.cells.len(), 8);
         assert_eq!(d.n_simulations(1), 120);
-    }
-
-    #[test]
-    fn cell_serializes() {
-        let mut c = CellConfig::default();
-        c.extras.push(ExtraIntervention::D2ct { detection: 0.5, compliance: 0.8 });
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CellConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

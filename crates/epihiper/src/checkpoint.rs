@@ -20,7 +20,7 @@
 //! one checksummed section per component (`meta`, `state`, `queues`,
 //! `interventions`, `carry`), each an FNV-1a-64-guarded binary payload
 //! of fixed-width little-endian fields and length-prefixed columns
-//! ([`ByteWriter`]/[`ByteReader`]). Per-section checksums localise
+//! (`ByteWriter`/`ByteReader`). Per-section checksums localise
 //! damage — a flipped byte names the section it hit — and a truncated
 //! file fails structurally ([`SnapshotError::Torn`]) before any payload
 //! is trusted. Every length and element count read from the input is

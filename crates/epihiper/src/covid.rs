@@ -1,5 +1,5 @@
 //! The builtin COVID-19 disease model (paper Fig. 12, Tables III & IV —
-//! the CDC "best guess" planning parameters [8]).
+//! the CDC "best guess" planning parameters \[8\]).
 //!
 //! States and the age-stratified severity ladder follow the paper
 //! exactly; the per-age branch probabilities in Table III reconstruct

@@ -61,6 +61,32 @@ impl DwellTime {
         }
     }
 
+    /// Why [`DwellTime::sample`] would panic or misread this
+    /// distribution, or `None` if it samples soundly.
+    fn defect(&self) -> Option<&'static str> {
+        match self {
+            DwellTime::Fixed { .. } => None,
+            DwellTime::Normal { mean, .. } if !mean.is_finite() => Some("has a non-finite mean"),
+            DwellTime::Normal { sd, .. } if !sd.is_finite() || *sd < 0.0 => {
+                Some("has a negative or non-finite sd")
+            }
+            DwellTime::Normal { .. } => None,
+            DwellTime::Discrete { days, .. } if days.is_empty() => Some("has no days"),
+            DwellTime::Discrete { days, probs } if days.len() != probs.len() => {
+                Some("has days and probs of different lengths")
+            }
+            DwellTime::Discrete { probs, .. }
+                if probs.iter().any(|p| !p.is_finite() || *p < 0.0) =>
+            {
+                Some("has a negative or non-finite probability")
+            }
+            DwellTime::Discrete { probs, .. } => {
+                let total: f64 = probs.iter().sum();
+                (!total.is_finite() || total <= 0.0).then_some("has no positive finite total")
+            }
+        }
+    }
+
     /// Expected value in days.
     pub fn mean(&self) -> f64 {
         match self {
@@ -140,6 +166,8 @@ pub enum ModelError {
     BadProbabilitySum { state: StateId, age_group: usize, sum: f64 },
     EmptyStates,
     NegativeRate { index: usize },
+    BadProbability { progression: usize, age_group: usize, prob: f64 },
+    BadDwell { progression: usize, age_group: usize, reason: &'static str },
 }
 
 impl std::fmt::Display for ModelError {
@@ -154,6 +182,14 @@ impl std::fmt::Display for ModelError {
             ModelError::NegativeRate { index } => {
                 write!(f, "transmission {index} has a negative rate")
             }
+            ModelError::BadProbability { progression, age_group, prob } => write!(
+                f,
+                "progression {progression} has probability {prob} for age group {age_group}, expected a finite value >= 0"
+            ),
+            ModelError::BadDwell { progression, age_group, reason } => write!(
+                f,
+                "progression {progression}, age group {age_group}: dwell time {reason}"
+            ),
         }
     }
 }
@@ -218,7 +254,11 @@ impl DiseaseModel {
         Some((last.to, last.dwell[age_group].sample(rng)))
     }
 
-    /// Validate internal consistency.
+    /// Validate internal consistency: state ids in range, rates ≥ 0,
+    /// each edge's per-age-group probability finite and ≥ 0 (a sum of 1
+    /// can hide `2.0` and `-1.0`), outgoing sums of 0 or 1, and every
+    /// dwell-time distribution one that [`DwellTime::sample`] can draw
+    /// from.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.states.is_empty() {
             return Err(ModelError::EmptyStates);
@@ -233,9 +273,17 @@ impl DiseaseModel {
         };
         check("initial_infected_state", self.initial_infected_state)?;
         check("susceptible_state", self.susceptible_state)?;
-        for p in &self.progressions {
+        for (i, p) in self.progressions.iter().enumerate() {
             check("progression.from", p.from)?;
             check("progression.to", p.to)?;
+            for (g, (&prob, dwell)) in p.prob.iter().zip(&p.dwell).enumerate() {
+                if !prob.is_finite() || prob < 0.0 {
+                    return Err(ModelError::BadProbability { progression: i, age_group: g, prob });
+                }
+                if let Some(reason) = dwell.defect() {
+                    return Err(ModelError::BadDwell { progression: i, age_group: g, reason });
+                }
+            }
         }
         for (i, t) in self.transmissions.iter().enumerate() {
             check("transmission.from", t.from)?;
@@ -411,6 +459,100 @@ mod tests {
         let json = m.to_json();
         let back = DiseaseModel::from_json(&json).unwrap();
         assert_eq!(back, m);
+    }
+
+    fn json_of(m: &DiseaseModel) -> String {
+        serde_json::to_string(m).unwrap()
+    }
+
+    /// `from_json`'s error; a model it accepts fails the test. Callers
+    /// patch `1e999` into the text for an infinite value, which the
+    /// writer would emit as `null`.
+    fn rejection(json: &str) -> String {
+        DiseaseModel::from_json(json).unwrap_err()
+    }
+
+    fn with_dwell(dwell: DwellTime) -> DiseaseModel {
+        let mut m = sir_model(0.1, 5.0);
+        m.progressions[0].dwell[2] = dwell;
+        m
+    }
+
+    #[test]
+    fn json_rejects_empty_discrete_dwell() {
+        let m = with_dwell(DwellTime::Discrete { days: vec![], probs: vec![] });
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("age group 2: dwell time has no days"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_mismatched_discrete_dwell() {
+        let m = with_dwell(DwellTime::Discrete { days: vec![1, 2], probs: vec![1.0] });
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("of different lengths"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_negative_discrete_probability() {
+        let m = with_dwell(DwellTime::Discrete { days: vec![1, 2], probs: vec![2.0, -1.0] });
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("negative or non-finite probability"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_non_finite_discrete_probability() {
+        let m = with_dwell(DwellTime::Discrete { days: vec![1, 2], probs: vec![0.5, 0.25] });
+        let err = rejection(&json_of(&m).replace("0.25", "1e999"));
+        assert!(err.contains("negative or non-finite probability"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_zero_total_discrete_dwell() {
+        let m = with_dwell(DwellTime::Discrete { days: vec![1, 2], probs: vec![0.0, 0.0] });
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("no positive finite total"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_non_finite_normal_mean() {
+        let m = with_dwell(DwellTime::Normal { mean: 4.25, sd: 1.0 });
+        let err = rejection(&json_of(&m).replace("4.25", "1e999"));
+        assert!(err.contains("non-finite mean"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_negative_normal_sd() {
+        let m = with_dwell(DwellTime::Normal { mean: 4.0, sd: -0.5 });
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("negative or non-finite sd"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_non_finite_normal_sd() {
+        let m = with_dwell(DwellTime::Normal { mean: 4.0, sd: 0.75 });
+        let err = rejection(&json_of(&m).replace("0.75", "1e999"));
+        assert!(err.contains("negative or non-finite sd"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_negative_edge_probability_summing_to_one() {
+        // I -> R at 2.0 and I -> S at -1.0: the sum is 1, the edges are not.
+        let mut m = sir_model(0.1, 5.0);
+        m.progressions[0].prob = [2.0; N_AGE_GROUPS];
+        let mut back = m.progressions[0].clone();
+        back.to = 0;
+        back.prob = [-1.0; N_AGE_GROUPS];
+        m.progressions.push(back);
+        let err = rejection(&json_of(&m));
+        assert!(err.contains("progression 1 has probability -1"), "{err}");
+    }
+
+    #[test]
+    fn json_rejects_non_finite_edge_probability() {
+        let mut m = sir_model(0.1, 5.0);
+        m.progressions[0].prob[3] = 0.875;
+        let err = rejection(&json_of(&m).replace("0.875", "1e999"));
+        assert!(err.contains("probability inf for age group 3"), "{err}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::state::{SimState, NEVER};
 use epiflow_synthpop::ContactNetwork;
 use rand::{Rng, RngCore};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Counter-based RNG: a splitmix64 stream keyed by (seed, node, tick).
@@ -330,7 +330,7 @@ struct Event {
 }
 
 /// Per-tick engine telemetry, one entry per tick.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct EngineStats {
     /// Frontier size at scan time (nodes with ≥1 infectious-capable
     /// in-neighbor), whichever order the partitions scanned in.
@@ -866,7 +866,7 @@ impl Simulation {
         }
     }
 
-    /// Run the simulation from [`Simulation::start_tick`] (0 for a
+    /// Run the simulation from `Simulation::start_tick` (0 for a
     /// fresh simulation) to `config.ticks`. A fresh run seeds at tick
     /// 0; a resumed run continues the carried output series instead, so
     /// an interrupted-and-resumed simulation produces byte-identical

@@ -601,8 +601,8 @@ impl Intervention for PulsingShutdown {
             return;
         }
         // In u64 so long pulses cannot overflow; a zero-length period
-        // (a deserialized config can carry one) acts like `off_days = 1`,
-        // which, with `on_days = 0`, never closes anything.
+        // (the fields are public, so a caller can build one) acts like
+        // `off_days = 1`, which, with `on_days = 0`, never closes anything.
         let period = (u64::from(self.on_days) + u64::from(self.off_days)).max(1);
         let offset = u64::from(ctx.tick - self.start);
         let phase = offset % period;

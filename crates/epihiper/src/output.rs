@@ -9,10 +9,10 @@
 //! current.
 
 use crate::disease::{DiseaseModel, StateId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One state-transition event (one line of EpiHiper's output file).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TransitionRecord {
     pub tick: u32,
     pub person: u32,
@@ -37,7 +37,7 @@ pub struct DendogramStats {
 }
 
 /// Full output of one simulation replicate.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct SimOutput {
     /// Every transition, in (tick, person) order.
     pub transitions: Vec<TransitionRecord>,

@@ -14,7 +14,7 @@ pub enum Site {
 /// A cluster's hardware configuration (Table II), with whole-node
 /// allocation as the paper's policy ("we intentionally avoided using
 /// partial nodes").
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     pub site: Site,
     pub name: String,

@@ -165,7 +165,7 @@ impl PopulationDb {
     }
 
     /// The per-region concurrent-task bound implied by this database
-    /// for jobs needing `conns_per_task` connections each (the B(T[r])
+    /// for jobs needing `conns_per_task` connections each (the `B(T[r])`
     /// of §V, Assumption 3/4).
     pub fn task_bound(&self, conns_per_task: usize) -> usize {
         self.max_connections / conns_per_task.max(1)

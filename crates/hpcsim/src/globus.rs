@@ -10,7 +10,7 @@ use crate::cluster::Site;
 use serde::{Deserialize, Serialize};
 
 /// A link between the two sites.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GlobusLink {
     /// Sustained bandwidth in bytes/second.
     pub bandwidth_bps: f64,
@@ -72,7 +72,7 @@ impl GlobusLink {
 /// nominal duration. Outcomes are a pure function of `(seed, label,
 /// attempt)` — no stream state — so a workflow resumed from a journal
 /// replays exactly the outcomes the interrupted run saw.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFaults {
     /// Per-attempt probability of a mid-flight drop.
     pub fail_prob: f64,

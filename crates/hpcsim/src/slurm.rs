@@ -26,7 +26,7 @@ use std::collections::HashMap;
 /// periodic snapshot and loses at most one interval. A requeued task
 /// resumes from its saved tick, so its next attempt only runs the
 /// remaining ticks.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CheckpointPolicy {
     /// Master switch; `false` reproduces classic restart-from-scratch
     /// behaviour byte-for-byte.
@@ -121,7 +121,7 @@ impl SlurmStats {
 /// during the window — the paper's mid-level node-loss scenario. Jobs
 /// running on lost nodes are killed and re-queued at the head of the
 /// job array (Slurm requeue-on-node-fail behaviour).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeFailure {
     pub at_secs: f64,
     pub nodes: usize,

@@ -9,10 +9,9 @@
 //! to the network size") with multiplicative lognormal-ish noise.
 
 use epiflow_surveillance::{RegionId, RegionRegistry, Scale};
-use serde::{Deserialize, Serialize};
 
 /// One schedulable simulation job.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Task {
     /// Unique id within a workload.
     pub id: u32,
@@ -22,7 +21,7 @@ pub struct Task {
     /// Compute nodes required (whole-node allocation; 2/4/6 by region
     /// size category).
     pub nodes: usize,
-    /// Empirical mean runtime t(T[c,r]) in seconds.
+    /// Empirical mean runtime `t(T[c,r])` in seconds.
     pub est_secs: f64,
     /// Realized runtime for execution simulation.
     pub actual_secs: f64,

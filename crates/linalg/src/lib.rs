@@ -7,10 +7,10 @@
 //! this crate implements exactly the operations required:
 //!
 //! * [`Mat`] — a dense row-major `f64` matrix with the usual arithmetic.
-//! * [`cholesky`] — Cholesky factorization with optional jitter for
+//! * [`cholesky`](mod@cholesky) — Cholesky factorization with optional jitter for
 //!   near-singular covariance matrices.
 //! * [`eigen`] — symmetric eigendecomposition via the cyclic Jacobi method.
-//! * [`pca`] — principal component analysis built on the eigen module,
+//! * [`pca`](mod@pca) — principal component analysis built on the eigen module,
 //!   used to construct the `pη = 5` eigenvector output basis of the
 //!   paper's Eq. (3).
 //!

@@ -1,7 +1,5 @@
 //! SEIR parameters and intervention scenarios.
 
-use serde::{Deserialize, Serialize};
-
 /// 1 / latent period (E → P or Iₐ).
 pub(crate) const SIGMA: f64 = 1.0 / 4.0;
 /// 1 / presymptomatic period (P → Iₛ).
@@ -25,7 +23,7 @@ pub(crate) const HOSPITAL_FATALITY: f64 = 0.15;
 /// the two rates calibration moves are settable; the latent and
 /// presymptomatic periods, the asymptomatic share and transmissivities,
 /// and the hospital course are fixed constants of this module.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeirParams {
     /// Transmission rate β (per day). R₀ ≈ β · infectious duration.
     pub beta: f64,
@@ -64,7 +62,7 @@ impl SeirParams {
 /// A transmissibility-modifying scenario: the case study models a
 /// worst-case (no distancing) and four intense-social-distancing
 /// variants differentiated by end date and reduction level.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     pub name: String,
     /// Day intense social distancing starts (None = never).
@@ -148,13 +146,5 @@ mod tests {
         assert_eq!(s[2].multiplier(10), 1.0); // before start
         assert_eq!(s[2].multiplier(100), 1.0); // after end (exclusive)
         assert_eq!(s[4].multiplier(120), 0.50); // longer window still on
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = SeirParams::default();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: SeirParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

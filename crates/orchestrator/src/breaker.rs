@@ -46,7 +46,7 @@ impl Resource {
 }
 
 /// Breaker state machine states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 #[serde(rename_all = "snake_case")]
 pub enum BreakerState {
     Closed,
@@ -55,7 +55,7 @@ pub enum BreakerState {
 }
 
 /// Breaker tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BreakerConfig {
     /// Sliding window of most recent call outcomes evaluated.
     pub window: usize,

@@ -20,7 +20,7 @@ use epiflow_hpcsim::globus::LinkFaults;
 use epiflow_hpcsim::slurm::NodeFailure;
 use epiflow_hpcsim::task::Task;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Sample the fault plan for one campaign night. Pure in
 /// `(base_seed, night, intensity)`: every probability and magnitude is
@@ -118,7 +118,7 @@ pub fn sample_fault_plan_preempt_heavy(
 }
 
 /// Which fault mix a campaign samples each night from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FaultProfile {
     /// The full chaos mix of [`sample_fault_plan`]: link faults, DB
     /// exhaustion and slowdowns, stragglers, node losses, and (at high
@@ -151,7 +151,7 @@ pub struct CampaignSpec {
 }
 
 /// One night's result.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NightOutcome {
     pub intensity: f64,
     pub night: u64,
@@ -161,7 +161,7 @@ pub struct NightOutcome {
 }
 
 /// Aggregates for one fault intensity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct IntensityStats {
     pub intensity: f64,
     pub nights: usize,
@@ -176,20 +176,17 @@ pub struct IntensityStats {
     pub shed_distribution: Vec<(u32, usize)>,
     pub mean_cycle_hours: f64,
     /// Executions killed by node failures across the intensity's nights.
-    #[serde(default)]
     pub preemptions: usize,
     /// Node-seconds of recomputed work (and checkpoint-write overhead)
     /// across the intensity's nights.
-    #[serde(default)]
     pub node_seconds_lost: f64,
     /// Node-seconds preserved across preemptions by checkpoints.
-    #[serde(default)]
     pub node_seconds_recovered: f64,
 }
 
 /// Full campaign result: per-night outcomes (in deterministic
 /// `(intensity, night)` order) and per-intensity aggregates.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CampaignReport {
     pub outcomes: Vec<NightOutcome>,
     pub per_intensity: Vec<IntensityStats>,

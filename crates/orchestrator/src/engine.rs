@@ -67,7 +67,7 @@ pub struct DroppedCell {
 /// database startup and the projected aggregation time), the engine
 /// sheds whole cells — highest cell index first, i.e. lowest priority —
 /// until the remainder fits, and reports every shed cell by name.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeadlinePolicy {
     pub shed_cells: bool,
 }
@@ -94,7 +94,7 @@ const HEDGE_LATENCY_FACTOR: f64 = 3.0;
 /// - transfer and restore calls against a resource whose breaker is
 ///   open are re-routed to the fallback link / standby replicas;
 /// - attempts running past 3× their quiet-path duration are hedged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FailoverPolicy {
     pub enabled: bool,
 }
@@ -164,7 +164,7 @@ impl CycleEnv {
 /// Observability stream: everything the engine does, in order. The
 /// timeline and journal are both derived from these. Serializes to one
 /// JSON object per event (see [`RunResult::events_jsonl`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 #[serde(tag = "type", rename_all = "snake_case")]
 pub enum EngineEvent {
     StepStarted {
@@ -230,7 +230,7 @@ pub enum EngineEvent {
 }
 
 /// Final report of one cycle.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CycleReport {
     pub timeline: Vec<TimelineEvent>,
     /// Transfers in completion order (the Table-II ledger rows).
@@ -290,7 +290,7 @@ impl CycleReport {
 }
 
 /// Summary counters appended to the JSONL event export.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct EventCounters {
     pub retries: u32,
     pub preemptions: usize,
@@ -301,11 +301,9 @@ pub struct EventCounters {
     pub failed_steps: u32,
     /// Node-seconds destroyed by preemption (recomputed work plus any
     /// final checkpoint-write overhead).
-    #[serde(default)]
     pub node_seconds_lost: f64,
     /// Node-seconds preserved across preemptions by tick-level
     /// checkpoints (0 with checkpointing disabled).
-    #[serde(default)]
     pub node_seconds_recovered: f64,
 }
 

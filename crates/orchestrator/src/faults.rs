@@ -7,11 +7,10 @@
 
 pub use epiflow_hpcsim::globus::{fault_unit, LinkFaults};
 use epiflow_hpcsim::slurm::NodeFailure;
-use serde::{Deserialize, Serialize};
 
 /// All fault injection for one cycle. [`FaultPlan::default`] is quiet:
 /// no faults, reproducing the happy-path workflow exactly.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the stateless draws (stragglers, DB exhaustion, slow
     /// restores).

@@ -12,7 +12,7 @@
 //! * [`step`] — the step taxonomy (config-gen, Globus transfer, DB
 //!   snapshot-restore, pack + Slurm execute, collect, analytics), retry
 //!   policies with exponential backoff, and the
-//!   acyclic-by-construction [`Dag`](step::Dag).
+//!   acyclic-by-construction [`Dag`].
 //! * [`faults`] — the seeded fault plan layered over the hpcsim
 //!   substrate: mid-flight transfer drops, mid-level node crashes, DB
 //!   connection exhaustion, straggler tasks. All draws are stateless

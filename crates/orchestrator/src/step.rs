@@ -7,7 +7,6 @@
 //! step they depend on, so the graph is acyclic by construction.
 
 use epiflow_hpcsim::cluster::Site;
-use serde::{Deserialize, Serialize};
 
 /// Index of a step within its [`Dag`].
 pub type StepId = usize;
@@ -18,7 +17,7 @@ const BACKOFF_FACTOR: f64 = 2.0;
 /// Per-step retry policy: exponential backoff (×2 per retry) between
 /// attempts. Attempts have no timeout: a failed attempt costs the time
 /// it wasted.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Retries allowed after the first attempt (total attempts =
     /// `max_retries + 1`).
@@ -56,8 +55,7 @@ impl Default for RetryPolicy {
 }
 
 /// Payload size of a transfer step.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BytesSpec {
     /// Known up front (e.g. the night's configuration bundle).
     Const { bytes: u64 },
@@ -67,8 +65,7 @@ pub enum BytesSpec {
 }
 
 /// What one attempt of a step does.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq)]
 pub enum StepKind {
     /// Fixed-duration work (config generation, analytics).
     Fixed { secs: f64 },
@@ -90,7 +87,7 @@ pub enum StepKind {
 }
 
 /// One step of the workflow.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StepSpec {
     pub name: String,
     pub site: Site,
@@ -104,7 +101,7 @@ pub struct StepSpec {
 
 /// A dependency DAG of steps, acyclic by construction (every edge
 /// points to an earlier id).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Dag {
     pub steps: Vec<StepSpec>,
 }

@@ -5,11 +5,10 @@
 //! (Figs. 13–14).
 
 use crate::regions::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// A daily case-count time series. Day 0 is the epoch of the study
 /// (2020-01-21 in the paper).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CaseSeries {
     /// New confirmed cases per day.
     pub daily: Vec<f64>,
@@ -97,14 +96,14 @@ impl CaseSeries {
 }
 
 /// Case series for one county.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CountySeries {
     pub fips: u32,
     pub series: CaseSeries,
 }
 
 /// All county series of one region, with a state-level rollup.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RegionCases {
     pub region: RegionId,
     pub counties: Vec<CountySeries>,

@@ -19,7 +19,6 @@ use crate::regions::{RegionId, RegionRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Gamma};
-use serde::{Deserialize, Serialize};
 
 /// Basic reproduction number before any intervention.
 const R0: f64 = 2.5;
@@ -36,7 +35,7 @@ const DISPERSION_K: f64 = 10.0;
 /// Hidden epidemic + observation parameters. The reproduction number,
 /// intervention day, ascertainment, reporting delay and dispersion are
 /// fixed constants of this module.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GroundTruthConfig {
     /// Multiplier on transmission after `INTERVENTION_DAY` (e.g. 0.4).
     pub intervention_effect: f64,

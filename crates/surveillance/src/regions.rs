@@ -8,8 +8,6 @@
 //! sizing (small/medium/large = 2/4/6 nodes, §VI), runtime variance
 //! (Fig. 8), and memory footprints (Fig. 10).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a region in the [`RegionRegistry`] (0..51).
 pub type RegionId = usize;
 
@@ -18,7 +16,7 @@ pub type RegionId = usize;
 /// The default 1/2000 gives ≈165k simulated persons for the whole US —
 /// large enough to show every scaling phenomenon, small enough to sweep
 /// nightly-workflow-sized experiments on one machine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Scale {
     /// Multiplicative factor applied to real population counts.
     pub factor: f64,
@@ -45,7 +43,7 @@ impl Default for Scale {
 
 /// Node-count size category used for whole-node job allocation (§VI):
 /// small regions get 2 compute nodes, medium 4, large 6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SizeCategory {
     Small,
     Medium,
@@ -64,11 +62,7 @@ impl SizeCategory {
 }
 
 /// One of the 51 regions.
-///
-/// `Serialize`-only: the `&'static str` name fields point into the
-/// compiled-in region table, so there is nothing to deserialize into —
-/// the registry is rebuilt with [`RegionRegistry::new`] instead.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Region {
     pub id: RegionId,
     /// Two-letter postal abbreviation.
@@ -81,7 +75,7 @@ pub struct Region {
 }
 
 /// One county within a region.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct County {
     pub region: RegionId,
     /// Index within the region (0-based).

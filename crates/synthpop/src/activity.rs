@@ -58,7 +58,7 @@ impl ActivityType {
 
 /// One activity instance: a day-of-week, start time, and duration
 /// (both in minutes from midnight).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Activity {
     pub kind: ActivityType,
     /// Day of week, 0 = Monday … 6 = Sunday.
@@ -88,7 +88,7 @@ impl Activity {
 
 /// A person's week of non-home activities (home fills the gaps and is
 /// handled by household cliques in the network model).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WeeklyPattern {
     pub activities: Vec<Activity>,
 }

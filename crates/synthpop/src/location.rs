@@ -8,13 +8,12 @@
 
 use crate::activity::ActivityType;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Location identifier, unique within one region.
 pub type LocationId = u32;
 
 /// The kinds of non-residential locations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LocationKind {
     Workplace,
     Shop,
@@ -66,7 +65,7 @@ impl LocationKind {
 }
 
 /// One activity location.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Location {
     pub id: LocationId,
     pub kind: LocationKind,

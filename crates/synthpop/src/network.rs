@@ -15,10 +15,9 @@ use crate::assignment::Visit;
 use crate::location::LocationKind;
 use crate::person::Population;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One undirected contact edge (`u < v` by construction).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ContactEdge {
     pub u: u32,
     pub v: u32,
@@ -36,7 +35,7 @@ pub struct ContactEdge {
 }
 
 /// A region's contact network for one representative day.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ContactNetwork {
     /// Number of persons (node ids are `0..n_nodes`).
     pub n_nodes: usize,

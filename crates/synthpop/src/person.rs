@@ -6,7 +6,6 @@
 //! stratification of the CDC disease model.
 
 use epiflow_surveillance::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// Person identifier, unique within one region's population.
 pub type PersonId = u32;
@@ -15,7 +14,7 @@ pub type PersonId = u32;
 pub type HouseholdId = u32;
 
 /// The five CDC age groups of Table III.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AgeGroup {
     /// 0–4 years.
     Preschool,
@@ -70,14 +69,14 @@ impl AgeGroup {
 }
 
 /// Binary gender as in the paper's trait list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Gender {
     Female,
     Male,
 }
 
 /// One synthetic person.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Person {
     pub id: PersonId,
     pub household: HouseholdId,
@@ -99,7 +98,7 @@ impl Person {
 
 /// A region's synthetic population: the person-trait table that the real
 /// system loads into PostgreSQL.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Population {
     pub region: RegionId,
     pub persons: Vec<Person>,

@@ -186,7 +186,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Acceptable size arguments for [`vec`]: a fixed length or a
+    /// Acceptable size arguments for [`vec()`]: a fixed length or a
     /// half-open range of lengths.
     pub trait SizeRange {
         fn pick(&self, rng: &mut StdRng) -> usize;

@@ -1,7 +1,7 @@
 //! Offline shim for the subset of `serde` used by this workspace.
 //!
-//! The build container has no registry access, so instead of the real
-//! serde's `Serializer`/`Deserializer` visitor architecture this shim
+//! The build is offline, so instead of the real serde's
+//! `Serializer`/`Deserializer` visitor architecture this shim
 //! round-trips every type through an owned [`Value`] tree; the
 //! companion `serde_json` shim renders/parses that tree as JSON, and
 //! the hand-rolled derive (`serde_derive_shim`) generates
@@ -10,6 +10,10 @@
 //! `#[derive(Serialize, Deserialize)]`, `#[serde(tag, rename_all,
 //! default)]`, `serde_json::to_string`/`from_str` — matches the real
 //! crates so they can be swapped back in when a registry is available.
+//!
+//! Only the shapes the derived types hold have impls: `bool`, `i32`,
+//! `i64`, `u8`–`u64`, `usize`, `f32`, `f64`, `String`, [`Value`],
+//! `Vec<T>`, `[T; N]`, `Option<T>`, `Box<T>` and pairs `(A, B)`.
 
 pub use serde_derive_shim::{Deserialize, Serialize};
 
@@ -55,7 +59,10 @@ impl Number {
         match self {
             Number::I(x) => u64::try_from(x).ok(),
             Number::U(x) => Some(x),
-            Number::F(x) if x.fract() == 0.0 && (0.0..1.9e19).contains(&x) => Some(x as u64),
+            // 2^64, exactly representable: the first float above u64::MAX.
+            Number::F(x) if x.fract() == 0.0 && (0.0..18446744073709551616.0).contains(&x) => {
+                Some(x as u64)
+            }
             Number::F(_) => None,
         }
     }
@@ -156,7 +163,7 @@ macro_rules! impl_serde_int {
     };
 }
 
-impl_serde_int!(signed: i8, i16, i32, i64, isize; unsigned: u8, u16, u32, u64, usize);
+impl_serde_int!(signed: i32, i64; unsigned: u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -218,12 +225,6 @@ impl Serialize for String {
 impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_str().map(str::to_string).ok_or_else(|| DeError::expected("string", "String"))
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
     }
 }
 
@@ -291,85 +292,17 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_value(&self) -> Value {
-        (**self).to_value()
+        Value::Seq(vec![self.0.to_value(), self.1.to_value()])
     }
 }
 
-macro_rules! impl_serde_tuple {
-    ($(($($name:ident : $idx:tt),+ ; $len:literal)),+) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Seq(xs) if xs.len() == $len => Ok((
-                        $($name::from_value(&xs[$idx])?,)+
-                    )),
-                    _ => Err(DeError::expected("tuple sequence", "tuple")),
-                }
-            }
-        }
-    )+};
-}
-
-impl_serde_tuple!(
-    (A: 0; 1),
-    (A: 0, B: 1; 2),
-    (A: 0, B: 1, C: 2; 3),
-    (A: 0, B: 1, C: 2, D: 3; 4)
-);
-
-impl<K: Serialize + Ord, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| {
-                    let key = match k.to_value() {
-                        Value::Str(s) => s,
-                        other => panic!("serde shim: non-string map key {other:?}"),
-                    };
-                    (key, v.to_value())
-                })
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::Map(m) => m.iter().map(|(k, v)| Ok((k.clone(), V::from_value(v)?))).collect(),
-            _ => Err(DeError::expected("map", "BTreeMap")),
-        }
-    }
-}
-
-/// `HashMap` serializes with keys sorted, so the emitted bytes are
-/// deterministic regardless of hasher state — a requirement for the
-/// checksummed snapshot sections built on top of this shim.
-impl<V: Serialize, S: std::hash::BuildHasher> Serialize
-    for std::collections::HashMap<String, V, S>
-{
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-
-impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize
-    for std::collections::HashMap<String, V, S>
-{
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(m) => m.iter().map(|(k, v)| Ok((k.clone(), V::from_value(v)?))).collect(),
-            _ => Err(DeError::expected("map", "HashMap")),
+            Value::Seq(xs) if xs.len() == 2 => Ok((A::from_value(&xs[0])?, B::from_value(&xs[1])?)),
+            _ => Err(DeError::expected("tuple sequence", "tuple")),
         }
     }
 }
@@ -391,27 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_round_trips_with_sorted_keys() {
-        let mut m = std::collections::HashMap::new();
-        m.insert("zeta".to_string(), 1.5f64);
-        m.insert("alpha".to_string(), -2.0);
-        let v = m.to_value();
-        match &v {
-            Value::Map(entries) => {
-                let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, vec!["alpha", "zeta"], "keys must serialize sorted");
-            }
-            other => panic!("expected map, got {other:?}"),
-        }
-        let back = std::collections::HashMap::<String, f64>::from_value(&v).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
     fn out_of_range_rejected() {
         let big = Value::Num(Number::U(300));
         assert!(u8::from_value(&big).is_err());
         let neg = Value::Num(Number::I(-1));
         assert!(u32::from_value(&neg).is_err());
+        // Integral floats at or above 2^64 fail rather than clamp to u64::MAX.
+        let above = Value::Num(Number::F(18500000000000000000.0));
+        assert!(u64::from_value(&above).is_err());
+        assert!(u64::from_value(&Value::Num(Number::F(18446744073709551616.0))).is_err());
+        let below = Value::Num(Number::F(18446744073709549568.0));
+        assert_eq!(u64::from_value(&below).unwrap(), 18446744073709549568);
     }
 }
