@@ -50,7 +50,13 @@ impl Number {
         match self {
             Number::I(x) => Some(x),
             Number::U(x) => i64::try_from(x).ok(),
-            Number::F(x) if x.fract() == 0.0 && x.abs() < 9.0e18 => Some(x as i64),
+            // [-2^63, 2^63), both ends exactly representable.
+            Number::F(x)
+                if x.fract() == 0.0
+                    && (-9223372036854775808.0..9223372036854775808.0).contains(&x) =>
+            {
+                Some(x as i64)
+            }
             Number::F(_) => None,
         }
     }
@@ -335,5 +341,14 @@ mod tests {
         assert!(u64::from_value(&Value::Num(Number::F(18446744073709551616.0))).is_err());
         let below = Value::Num(Number::F(18446744073709549568.0));
         assert_eq!(u64::from_value(&below).unwrap(), 18446744073709549568);
+    }
+
+    #[test]
+    fn i64_accepts_exactly_the_integral_floats_in_range() {
+        let num = |x: f64| Value::Num(Number::F(x));
+        assert_eq!(i64::from_value(&num(9.1e18)).unwrap(), 9_100_000_000_000_000_000);
+        assert_eq!(i64::from_value(&num(-9223372036854775808.0)).unwrap(), i64::MIN);
+        // 2^63 is the first float above i64::MAX.
+        assert!(i64::from_value(&num(9223372036854775808.0)).is_err());
     }
 }
