@@ -120,9 +120,25 @@ impl CostModel {
 mod tests {
     use super::*;
     use epiflow_epihiper::covid::covid19_model;
-    use epiflow_epihiper::{InterventionSet, SimConfig, Simulation};
+    use epiflow_epihiper::{DiseaseModel, InterventionSet, SimConfig, SimContext, Simulation};
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
+    use std::sync::Arc;
+
+    /// A COVID-19 run of `config.ticks` days on `net` (county 0
+    /// everywhere).
+    fn covid_run(
+        net: &ContactNetwork,
+        model: DiseaseModel,
+        age_group: Vec<u8>,
+        config: SimConfig,
+    ) -> SimOutput {
+        let county = vec![0; net.n_nodes];
+        let ctx = SimContext::build(net, age_group, county, config.n_partitions, config.epsilon);
+        Simulation::new_with_context(Arc::new(ctx), model, InterventionSet::new(), config)
+            .run()
+            .output
+    }
 
     fn epidemic_output(seed: u64) -> SimOutput {
         let n = 200u32;
@@ -143,16 +159,12 @@ mod tests {
             }
         }
         let net = ContactNetwork { n_nodes: n as usize, edges };
-        let mut sim = Simulation::new(
+        covid_run(
             &net,
-            covid19_model(),
+            DiseaseModel { transmissibility: 0.6, ..covid19_model() },
             (0..n).map(|i| (i % 5) as u8).collect(),
-            vec![0; n as usize],
-            InterventionSet::new(),
             SimConfig { ticks: 150, seed, initial_infections: 8, ..Default::default() },
-        );
-        sim.model.transmissibility = 0.6;
-        sim.run().output
+        )
     }
 
     #[test]
@@ -183,15 +195,12 @@ mod tests {
         let real = CostModel::default().evaluate(&epidemic_output(3));
         let n = 50;
         let net = ContactNetwork { n_nodes: n, edges: vec![] };
-        let mut sim = Simulation::new(
+        let tiny = CostModel::default().evaluate(&covid_run(
             &net,
             covid19_model(),
             vec![2; n],
-            vec![0; n],
-            InterventionSet::new(),
             SimConfig { ticks: 60, seed: 3, initial_infections: 1, ..Default::default() },
-        );
-        let tiny = CostModel::default().evaluate(&sim.run().output);
+        ));
         assert!(real.total() > tiny.total());
     }
 

@@ -36,28 +36,21 @@ use std::time::Instant;
 const N_PARTITIONS: usize = 4;
 const BASE_SEED: u64 = 0x2026_0807;
 
-/// Wall time of one fresh `Simulation::new` — the per-replicate setup
-/// cost the shared context amortizes away (CSR build + partitioning +
-/// attribute derivation, no tick loop).
+/// Wall time of one fresh simulation build, context included — the
+/// per-replicate setup cost the shared context amortizes away (CSR
+/// build + partitioning + attribute derivation, no tick loop).
 fn fresh_setup_secs(data: &epiflow_synthpop::builder::RegionData, days: u32) -> f64 {
-    let age: Vec<u8> =
-        data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
-    let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
     let t0 = Instant::now();
-    let sim = Simulation::new(
-        &data.network,
-        covid19_model(),
-        age,
-        county,
-        InterventionSet::default(),
-        SimConfig {
-            ticks: days,
-            n_partitions: N_PARTITIONS,
-            epsilon: 16,
-            record_transitions: false,
-            ..Default::default()
-        },
-    );
+    let ctx = EnsembleRunner::new(data, N_PARTITIONS).context().clone();
+    let config = SimConfig {
+        ticks: days,
+        n_partitions: ctx.n_partitions,
+        epsilon: ctx.epsilon,
+        record_transitions: false,
+        ..Default::default()
+    };
+    let sim =
+        Simulation::new_with_context(ctx, covid19_model(), InterventionSet::default(), config);
     let secs = t0.elapsed().as_secs_f64();
     drop(sim);
     secs

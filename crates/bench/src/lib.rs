@@ -2,8 +2,9 @@
 //! the paper; see DESIGN.md §5 and EXPERIMENTS.md) and the two
 //! `BENCH_*.json` writers.
 
+use epiflow_core::EnsembleRunner;
 use epiflow_epihiper::covid::covid19_model;
-use epiflow_epihiper::{InterventionSet, SimConfig, SimResult, Simulation};
+use epiflow_epihiper::{DiseaseModel, InterventionSet, SimConfig, SimResult, Simulation};
 use epiflow_surveillance::{RegionRegistry, Scale};
 use epiflow_synthpop::builder::RegionData;
 use epiflow_synthpop::{build_region, BuildConfig};
@@ -25,28 +26,18 @@ pub fn run_covid(
     n_partitions: usize,
     seed: u64,
 ) -> SimResult {
-    let n = data.population.len();
-    let age: Vec<u8> =
-        data.population.persons.iter().map(|p| p.age_group().index() as u8).collect();
-    let county: Vec<u16> = data.population.persons.iter().map(|p| p.county).collect();
-    let mut sim = Simulation::new(
-        &data.network,
-        covid19_model(),
-        age,
-        county,
-        interventions,
-        SimConfig {
-            ticks,
-            seed,
-            n_partitions,
-            epsilon: 16,
-            initial_infections: (n / 400).max(5),
-            record_transitions: false,
-            ..Default::default()
-        },
-    );
-    sim.model.transmissibility = 0.35;
-    sim.run()
+    let ctx = EnsembleRunner::new(data, n_partitions).context().clone();
+    let config = SimConfig {
+        ticks,
+        seed,
+        n_partitions: ctx.n_partitions,
+        epsilon: ctx.epsilon,
+        initial_infections: (data.population.len() / 400).max(5),
+        record_transitions: false,
+        ..Default::default()
+    };
+    let model = DiseaseModel { transmissibility: 0.35, ..covid19_model() };
+    Simulation::new_with_context(ctx, model, interventions, config).run()
 }
 
 /// The commit being measured: `git rev-parse HEAD`, else `GIT_COMMIT`

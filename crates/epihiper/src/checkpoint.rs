@@ -10,8 +10,8 @@
 //! transitions, cumulative counts, telemetry). Deliberately *absent*:
 //!
 //! * frontier/pressure structures (`ActiveSet`, infectious-neighbor
-//!   counts, occupancy) — derived data, rebuilt on restore by
-//!   `Simulation::rebuild_frontier` in O(V + E);
+//!   counts, occupancy) — derived data, rebuilt from the restored state
+//!   by [`crate::Simulation::resume_with_context`] in O(V + E);
 //! * RNG state — the engine's RNG is counter-based, keyed by
 //!   `(seed, node, tick)`, so its "position" is fully determined by the
 //!   tick the resume starts at.
@@ -725,7 +725,7 @@ impl SnapshotChain {
 mod tests {
     use super::*;
     use crate::disease::sir_model;
-    use crate::engine::{SimConfig, Simulation};
+    use crate::engine::{SimConfig, SimContext, Simulation};
     use crate::interventions::InterventionSet;
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::{ActivityType, ContactNetwork};
@@ -749,16 +749,27 @@ mod tests {
         ContactNetwork { n_nodes: n as usize, edges }
     }
 
-    fn snapshot_after(ticks: u32) -> SimSnapshot {
-        let net = small_net(20);
-        let mut sim = Simulation::new(
-            &net,
-            sir_model(1.5, 5.0),
+    /// An SIR simulation on `small_net(20)` (age group 2, county 0
+    /// everywhere).
+    fn small_sim(cfg: SimConfig) -> Simulation {
+        let ctx = SimContext::build(
+            &small_net(20),
             vec![2; 20],
             vec![0; 20],
-            InterventionSet::default(),
-            SimConfig { ticks, seed: 11, initial_infections: 3, ..Default::default() },
+            cfg.n_partitions,
+            cfg.epsilon,
         );
+        Simulation::new_with_context(
+            std::sync::Arc::new(ctx),
+            sir_model(1.5, 5.0),
+            InterventionSet::default(),
+            cfg,
+        )
+    }
+
+    fn snapshot_after(ticks: u32) -> SimSnapshot {
+        let mut sim =
+            small_sim(SimConfig { ticks, seed: 11, initial_infections: 3, ..Default::default() });
         sim.run();
         sim.snapshot()
     }
@@ -766,21 +777,13 @@ mod tests {
     /// A snapshot that fills every section: a variable, a triggered
     /// intervention state, and the transition log in the carry.
     fn rich_snapshot() -> SimSnapshot {
-        let net = small_net(20);
-        let mut sim = Simulation::new(
-            &net,
-            sir_model(1.5, 5.0),
-            vec![2; 20],
-            vec![0; 20],
-            InterventionSet::default(),
-            SimConfig {
-                ticks: 6,
-                seed: 11,
-                initial_infections: 3,
-                record_transitions: true,
-                ..Default::default()
-            },
-        );
+        let mut sim = small_sim(SimConfig {
+            ticks: 6,
+            seed: 11,
+            initial_infections: 3,
+            record_transitions: true,
+            ..Default::default()
+        });
         sim.run();
         let mut snap = sim.snapshot();
         snap.state.set_variable("beta_scale", 0.75);

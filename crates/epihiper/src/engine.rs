@@ -215,17 +215,20 @@ impl RuntimeNet {
 /// once per ⟨region, partition count⟩ and shared via [`Arc`] across
 /// every replicate ([`Simulation::new_with_context`]), turning the
 /// O(V + E) CSR build + partitioning + attribute derivation from a
-/// per-replicate cost into a per-ensemble one.
+/// per-replicate cost into a per-ensemble one. Every simulation is
+/// built against a context, so a one-off run builds one for itself.
 ///
 /// The partitioning lives here — keyed by the ⟨`n_partitions`, `epsilon`⟩
 /// it was built with — because partition boundaries determine the
 /// workspace layout, the bucket routing, and the per-partition
 /// saturation decision. A context is therefore only valid for configs
-/// requesting the same partitioning; [`Simulation::new_with_context`]
-/// asserts this rather than silently diverging from the fresh-build
-/// path. (Results would still be *epidemiologically* identical either
-/// way — the RNG is counter-based — but telemetry like `edges_scanned`
-/// would not be byte-identical, and byte-identity is the invariant.)
+/// requesting the same partitioning: [`Simulation::new_with_context`]
+/// panics and [`Simulation::resume_with_context`] returns
+/// [`SnapshotError::Mismatch`] on any other, rather than silently
+/// scanning under a partitioning the config did not ask for. (Results
+/// would still be *epidemiologically* identical either way — the RNG
+/// is counter-based — but telemetry like `edges_scanned` would not be
+/// byte-identical, and byte-identity is the invariant.)
 #[derive(Debug)]
 pub struct SimContext {
     /// CSR runtime network (in-edge arrays incl. precomputed `tw`).
@@ -410,14 +413,23 @@ struct Workspace {
 ///
 /// The immutable inputs (network, partitioning, demographics) live in
 /// an [`Arc`]-shared [`SimContext`]; everything below it is the cheap
-/// per-replicate mutable state.
+/// per-replicate mutable state. A simulation has one lifecycle:
+/// [`SimContext::build`] → [`Simulation::new_with_context`] →
+/// [`Simulation::run`] → [`Simulation::snapshot`] (then
+/// [`SimSnapshot::encode`] / [`SimSnapshot::decode`]) →
+/// [`Simulation::resume_with_context`] → [`Simulation::run`].
 pub struct Simulation {
     /// The shared immutable context (network, partitioning, attributes).
     ctx: Arc<SimContext>,
-    pub model: DiseaseModel,
+    /// The disease model, validated at construction.
+    model: DiseaseModel,
+    /// The authoritative per-node state. Writing health states through
+    /// [`SimState::set_health`] between construction and `run` is a
+    /// supported input: the health epoch tells the engine to rebuild
+    /// its frontier index.
     pub state: SimState,
-    pub interventions: InterventionSet,
-    pub config: SimConfig,
+    interventions: InterventionSet,
+    config: SimConfig,
     /// `lut[health * n_states + neighbor_health]` → (exposed state, ω).
     trans_lut: Vec<Option<(StateId, f64)>>,
     /// `via_state[s]`: state `s` appears as `via` in some transmission,
@@ -441,7 +453,7 @@ pub struct Simulation {
     seen_health_epoch: u64,
     /// First tick the next [`Simulation::run`] call executes: 0 for a
     /// fresh simulation, `config.ticks` after a completed run, the
-    /// snapshot's `next_tick` after [`Simulation::resume`].
+    /// snapshot's `next_tick` after [`Simulation::resume_with_context`].
     start_tick: u32,
     /// Continuation state from the previous `run` call (or the
     /// snapshot), `None` until the first run.
@@ -449,54 +461,40 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Build a simulation. `age_group` and `county` must have one entry
-    /// per node; pass `vec![2; n]` / `vec![0; n]` when demographics are
-    /// not needed.
-    pub fn new(
-        network: &ContactNetwork,
-        model: DiseaseModel,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        interventions: InterventionSet,
-        config: SimConfig,
-    ) -> Self {
-        let ctx = Arc::new(SimContext::build(
-            network,
-            age_group,
-            county,
-            config.n_partitions,
-            config.epsilon,
-        ));
-        Self::new_with_context(ctx, model, interventions, config)
-    }
-
-    /// Build a simulation against a pre-built shared [`SimContext`],
-    /// skipping all network construction: no CSR build, no
-    /// partitioning, no attribute derivation — only the O(V) mutable
-    /// state and the O(states²) transmission LUT. This is the ensemble
-    /// fast path; with a fixed seed it produces byte-identical results
-    /// to [`Simulation::new`] on the same inputs.
+    /// Build a simulation against a shared [`SimContext`], skipping all
+    /// network construction: no CSR build, no partitioning, no
+    /// attribute derivation — only the O(V) mutable state and the
+    /// O(states²) transmission LUT. Every simulation starts here; a
+    /// context reused across replicates gives byte-identical results
+    /// to one built afresh for each.
     ///
     /// Panics if `config` requests a different partitioning than `ctx`
-    /// was built with (see [`SimContext`]).
+    /// was built with (see [`SimContext`]), or if `model` fails
+    /// [`DiseaseModel::validate`].
     pub fn new_with_context(
         ctx: Arc<SimContext>,
         model: DiseaseModel,
         interventions: InterventionSet,
         config: SimConfig,
     ) -> Self {
-        assert_eq!(
-            (ctx.n_partitions, ctx.epsilon),
-            (config.n_partitions, config.epsilon),
-            "context partitioned for {}/ε={}, config requests {}/ε={}",
-            ctx.n_partitions,
-            ctx.epsilon,
-            config.n_partitions,
-            config.epsilon,
-        );
-        model.validate().expect("valid disease model");
-
+        if let Err(why) = check_partitioning(&ctx, &config) {
+            panic!("{why}");
+        }
         let state = SimState::new(ctx.net.n_nodes, ctx.net.n_undirected, model.susceptible_state);
+        Self::assemble(ctx, model, state, interventions, config)
+    }
+
+    /// The one construction body: derive the transmission LUT, the
+    /// per-partition workspaces and the frontier index around `state`.
+    /// The progression queues start empty.
+    fn assemble(
+        ctx: Arc<SimContext>,
+        model: DiseaseModel,
+        state: SimState,
+        interventions: InterventionSet,
+        config: SimConfig,
+    ) -> Self {
+        model.validate().expect("valid disease model");
 
         let ns = model.n_states();
         let mut trans_lut = vec![None; ns * ns];
@@ -542,31 +540,11 @@ impl Simulation {
         &self.ctx
     }
 
-    /// The CSR runtime network.
-    pub fn net(&self) -> &RuntimeNet {
-        &self.ctx.net
-    }
-
-    /// The node partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.ctx.partitioning
-    }
-
-    /// Age-group index (0..5) per node.
-    pub fn age_group(&self) -> &[u8] {
-        &self.ctx.age_group
-    }
-
-    /// County index per node.
-    pub fn county(&self) -> &[u16] {
-        &self.ctx.county
-    }
-
     /// Recompute the frontier index (`inf_nbr_count` + [`ActiveSet`])
     /// from the authoritative health states, and snapshot the health
     /// epoch. O(V + E); called at construction and whenever health
     /// states were written externally (see [`SimState::set_health`]).
-    pub fn rebuild_frontier(&mut self) {
+    fn rebuild_frontier(&mut self) {
         self.inf_nbr_count.iter_mut().for_each(|c| *c = 0);
         self.active.clear();
         for v in 0..self.ctx.net.n_nodes as u32 {
@@ -1010,13 +988,14 @@ impl Simulation {
     /// progression queues (partition-agnostic form), intervention
     /// trigger state, and the mid-run continuation. The frontier index
     /// (`ActiveSet`, neighbor counts) and occupancy are deliberately
-    /// *not* captured — they are derived data, rebuilt on restore by
-    /// [`Simulation::rebuild_frontier`]. The RNG needs no state either:
-    /// it is counter-based, keyed by `(seed, node, tick)`, so "RNG
-    /// position" reduces to the tick the resume starts at.
+    /// *not* captured — they are derived data, rebuilt from the restored
+    /// state on resume. The RNG needs no state either: it is
+    /// counter-based, keyed by `(seed, node, tick)`, so "RNG position"
+    /// reduces to the tick the resume starts at.
     ///
     /// Interrupt protocol: run with `config.ticks = k`, snapshot, then
-    /// [`Simulation::resume`] with `config.ticks = T` continues k..T.
+    /// [`Simulation::resume_with_context`] with `config.ticks = T`
+    /// continues k..T.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             meta: SnapshotMeta {
@@ -1034,59 +1013,30 @@ impl Simulation {
         }
     }
 
-    /// Rebuild a simulation from a snapshot. The caller supplies the
-    /// same network, model, demographics, and intervention stack the
-    /// snapshot was taken with (snapshots index into them; they are
-    /// static inputs, not state) — plus the config for the continued
-    /// run, which may change `ticks`, `n_partitions`, and
-    /// `saturation_threshold` freely without perturbing the epidemic.
-    /// Mismatches that would silently corrupt the resume (different
-    /// seed, node count, state count, edge count, or intervention
-    /// stack, or queued nodes and health states out of range) are
-    /// rejected with [`SnapshotError::Mismatch`].
-    pub fn resume(
-        network: &ContactNetwork,
-        model: DiseaseModel,
-        age_group: Vec<u8>,
-        county: Vec<u16>,
-        interventions: InterventionSet,
-        config: SimConfig,
-        snapshot: &SimSnapshot,
-    ) -> Result<Self, SnapshotError> {
-        let ctx = Arc::new(SimContext::build(
-            network,
-            age_group,
-            county,
-            config.n_partitions,
-            config.epsilon,
-        ));
-        Self::resume_with_context(ctx, model, interventions, config, snapshot)
-    }
-
-    /// [`Simulation::resume`] against a pre-built shared [`SimContext`]
-    /// — the ensemble fast path for restarts: a preempted replicate
-    /// resumes without rebuilding the network the rest of the ensemble
-    /// is already sharing. Same validation, same byte-identical
-    /// continuation; a context partitioned differently from `config`
-    /// is also a [`SnapshotError::Mismatch`].
+    /// Rebuild a simulation from a snapshot against a shared
+    /// [`SimContext`] — a preempted replicate resumes without rebuilding
+    /// the network the rest of the ensemble is already sharing. The
+    /// caller supplies the same context contents, model and intervention
+    /// stack the snapshot was taken with (snapshots index into them;
+    /// they are static inputs, not state) — plus the config for the
+    /// continued run, which may change `ticks`, `n_partitions`, and
+    /// `saturation_threshold` freely without perturbing the epidemic
+    /// (a different partition count needs a context built for it).
+    /// Mismatches that would silently corrupt the resume (a context
+    /// partitioned differently from `config`; a different seed, node
+    /// count, state count, edge count, or intervention stack; queued
+    /// nodes and health states out of range) are rejected with
+    /// [`SnapshotError::Mismatch`].
     pub fn resume_with_context(
         ctx: Arc<SimContext>,
         model: DiseaseModel,
-        interventions: InterventionSet,
+        mut interventions: InterventionSet,
         config: SimConfig,
         snapshot: &SimSnapshot,
     ) -> Result<Self, SnapshotError> {
         let check =
             |ok: bool, what: String| if ok { Ok(()) } else { Err(SnapshotError::Mismatch(what)) };
-        // `new_with_context` asserts this; checked here first so a
-        // mismatched context is an error, not a panic.
-        check(
-            (ctx.n_partitions, ctx.epsilon) == (config.n_partitions, config.epsilon),
-            format!(
-                "context partitioned for {}/ε={}, config requests {}/ε={}",
-                ctx.n_partitions, ctx.epsilon, config.n_partitions, config.epsilon
-            ),
-        )?;
+        check_partitioning(&ctx, &config).map_err(SnapshotError::Mismatch)?;
         let meta = &snapshot.meta;
         if meta.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Version(meta.version));
@@ -1147,21 +1097,30 @@ impl Simulation {
             format!("a health state is outside the model's {n_states} states"),
         )?;
 
-        let mut sim = Simulation::new_with_context(ctx, model, interventions, config);
-        sim.state = snapshot.state.clone();
+        interventions.restore_states(&snapshot.interventions).map_err(SnapshotError::Mismatch)?;
+
+        let mut sim = Self::assemble(ctx, model, snapshot.state.clone(), interventions, config);
         for (tick, nodes) in &snapshot.queues {
             for &v in nodes {
                 sim.buckets.push(sim.ctx.part_of[v as usize] as usize, *tick, v);
             }
         }
-        sim.interventions
-            .restore_states(&snapshot.interventions)
-            .map_err(SnapshotError::Mismatch)?;
-        sim.rebuild_frontier();
         sim.start_tick = meta.next_tick;
         sim.carry = snapshot.carry.clone();
         Ok(sim)
     }
+}
+
+/// `Err` names the mismatch when `config` requests a partitioning other
+/// than the one `ctx` was built with.
+fn check_partitioning(ctx: &SimContext, config: &SimConfig) -> Result<(), String> {
+    if (ctx.n_partitions, ctx.epsilon) == (config.n_partitions, config.epsilon) {
+        return Ok(());
+    }
+    Err(format!(
+        "context partitioned for {}/ε={}, config requests {}/ε={}",
+        ctx.n_partitions, ctx.epsilon, config.n_partitions, config.epsilon
+    ))
 }
 
 #[cfg(test)]
@@ -1190,16 +1149,25 @@ mod tests {
         ContactNetwork { n_nodes: n as usize, edges }
     }
 
-    fn sim_on(net: &ContactNetwork, beta: f64, cfg: SimConfig) -> Simulation {
+    /// A context for `net` (age group 2, county 0 everywhere),
+    /// partitioned as `cfg` requests.
+    fn context_for(net: &ContactNetwork, cfg: &SimConfig) -> Arc<SimContext> {
         let n = net.n_nodes;
-        Simulation::new(
-            net,
-            sir_model(beta, 5.0),
-            vec![2; n],
-            vec![0; n],
-            InterventionSet::default(),
-            cfg,
-        )
+        Arc::new(SimContext::build(net, vec![2; n], vec![0; n], cfg.n_partitions, cfg.epsilon))
+    }
+
+    /// A simulation on its own freshly built context.
+    fn sim_with(
+        net: &ContactNetwork,
+        model: DiseaseModel,
+        interventions: InterventionSet,
+        cfg: SimConfig,
+    ) -> Simulation {
+        Simulation::new_with_context(context_for(net, &cfg), model, interventions, cfg)
+    }
+
+    fn sim_on(net: &ContactNetwork, beta: f64, cfg: SimConfig) -> Simulation {
+        sim_with(net, sir_model(beta, 5.0), InterventionSet::default(), cfg)
     }
 
     /// Saturation thresholds θ the scan-order tests compare: the
@@ -1235,15 +1203,20 @@ mod tests {
     #[test]
     fn epidemic_spreads_in_dense_network() {
         let net = dense_network(60);
-        let mut sim =
-            sim_on(&net, 2.0, SimConfig { ticks: 60, initial_infections: 3, ..Default::default() });
-        let res = sim.run();
+        let cfg = SimConfig { ticks: 60, initial_infections: 3, ..Default::default() };
+        let res = sim_on(&net, 2.0, cfg.clone()).run();
         let recovered = res.output.cumulative(2);
         assert!(
             *recovered.last().unwrap() > 40,
             "most of a dense network should get infected, got {:?}",
             recovered.last()
         );
+        assert!(res.output.total_infections() > 40);
+        // Without the transition log the same epidemic has no caused
+        // records to count.
+        let unlogged = sim_on(&net, 2.0, SimConfig { record_transitions: false, ..cfg }).run();
+        assert_eq!(unlogged.output.cumulative(2), recovered);
+        assert_eq!(unlogged.output.total_infections(), 0);
     }
 
     #[test]
@@ -1387,12 +1360,9 @@ mod tests {
         }
         let net = dense_network(40);
         let mk = |theta| {
-            let n = net.n_nodes;
-            let mut sim = Simulation::new(
+            let mut sim = sim_with(
                 &net,
                 sir_model(1.8, 5.0),
-                vec![2; n],
-                vec![0; n],
                 InterventionSet::new().with(Box::new(Flipper)),
                 SimConfig {
                     ticks: 50,
@@ -1431,12 +1401,9 @@ mod tests {
         }
         let net = dense_network(40);
         let mk = |theta| {
-            let n = net.n_nodes;
-            let mut sim = Simulation::new(
+            let mut sim = sim_with(
                 &net,
                 sir_model(1.5, 5.0),
-                vec![2; n],
-                vec![0; n],
                 InterventionSet::new().with(Box::new(Teleport)),
                 SimConfig {
                     ticks: 30,
@@ -1684,11 +1651,9 @@ mod tests {
     fn resume_sim(net: &ContactNetwork, beta: f64, cfg: SimConfig, sim: &Simulation) -> Simulation {
         let snap = crate::checkpoint::SimSnapshot::decode(&sim.snapshot().encode())
             .expect("snapshot survives encode/decode");
-        Simulation::resume(
-            net,
+        Simulation::resume_with_context(
+            context_for(net, &cfg),
             sir_model(beta, 5.0),
-            vec![2; net.n_nodes],
-            vec![0; net.n_nodes],
             InterventionSet::default(),
             cfg,
             &snap,
@@ -1781,12 +1746,9 @@ mod tests {
         sim.run();
         let snap = sim.snapshot();
         let try_resume = |net: &ContactNetwork, cfg: SimConfig, snap: &SimSnapshot| {
-            let n = net.n_nodes;
-            Simulation::resume(
-                net,
+            Simulation::resume_with_context(
+                context_for(net, &cfg),
                 sir_model(1.0, 5.0),
-                vec![2; n],
-                vec![0; n],
                 InterventionSet::default(),
                 cfg,
                 snap,
@@ -1820,12 +1782,11 @@ mod tests {
         let mut sim = sim_on(&net, 1.0, SimConfig { ticks: 8, ..base.clone() });
         sim.run();
         let snap = sim.snapshot();
+        let ctx = context_for(&net, &base);
         let try_resume = |snap: &SimSnapshot| {
-            Simulation::resume(
-                &net,
+            Simulation::resume_with_context(
+                ctx.clone(),
                 sir_model(1.0, 5.0),
-                vec![2; 20],
-                vec![0; 20],
                 InterventionSet::default(),
                 base.clone(),
                 snap,
@@ -1844,22 +1805,16 @@ mod tests {
         assert_eq!(try_resume(&snap), Ok(()));
     }
 
-    /// A context-backed simulation (shared `Arc<SimContext>`) must be
-    /// byte-identical to the fresh-build path on every output series.
+    /// A context shared across replicates must give byte-identical
+    /// results to a context built afresh for each run, on every output
+    /// series.
     #[test]
     fn shared_context_byte_identical_to_fresh_build() {
         let net = dense_network(50);
-        let n = net.n_nodes;
         for parts in [1usize, 4, 13] {
             let cfg =
                 |seed| SimConfig { ticks: 40, seed, n_partitions: parts, ..Default::default() };
-            let ctx = std::sync::Arc::new(SimContext::build(
-                &net,
-                vec![2; n],
-                vec![0; n],
-                parts,
-                SimConfig::default().epsilon,
-            ));
+            let ctx = context_for(&net, &cfg(0));
             for seed in [1u64, 9, 42] {
                 let fresh = sim_on(&net, 1.5, cfg(seed)).run();
                 let mut shared = Simulation::new_with_context(
@@ -1898,7 +1853,7 @@ mod tests {
     #[should_panic(expected = "context partitioned for")]
     fn context_partition_mismatch_panics() {
         let net = dense_network(10);
-        let ctx = std::sync::Arc::new(SimContext::build(&net, vec![2; 10], vec![0; 10], 4, 16));
+        let ctx = Arc::new(SimContext::build(&net, vec![2; 10], vec![0; 10], 4, 16));
         let _ = Simulation::new_with_context(
             ctx,
             sir_model(1.0, 5.0),
@@ -1916,7 +1871,7 @@ mod tests {
         let mut sim = sim_on(&net, 1.5, SimConfig { ticks: 5, ..config.clone() });
         sim.run();
         let snapshot = sim.snapshot();
-        let ctx = std::sync::Arc::new(SimContext::build(&net, vec![2; 10], vec![0; 10], 8, 16));
+        let ctx = Arc::new(SimContext::build(&net, vec![2; 10], vec![0; 10], 8, 16));
         let err = Simulation::resume_with_context(
             ctx,
             sir_model(1.5, 5.0),
@@ -1938,16 +1893,9 @@ mod tests {
     #[test]
     fn ckpt_round_trip_through_shared_context() {
         let net = dense_network(50);
-        let n = net.n_nodes;
         let base = SimConfig { ticks: 40, seed: 99, initial_infections: 4, ..Default::default() };
         let baseline = sim_on(&net, 1.5, base.clone()).run();
-        let ctx = std::sync::Arc::new(SimContext::build(
-            &net,
-            vec![2; n],
-            vec![0; n],
-            base.n_partitions,
-            base.epsilon,
-        ));
+        let ctx = context_for(&net, &base);
         for k in [0u32, 1, 17, 39, 40] {
             let mut interrupted = Simulation::new_with_context(
                 ctx.clone(),
@@ -1972,8 +1920,8 @@ mod tests {
         }
     }
 
-    /// resume_with_context applies the same mismatch validation as the
-    /// fresh-build resume.
+    /// A context built on another network is refused even when its
+    /// partitioning matches the config.
     #[test]
     fn ckpt_resume_with_context_rejects_mismatches() {
         use crate::checkpoint::SnapshotError;
@@ -1982,14 +1930,7 @@ mod tests {
         let mut sim = sim_on(&net, 1.0, SimConfig { ticks: 8, ..base.clone() });
         sim.run();
         let snap = sim.snapshot();
-        let other = dense_network(21);
-        let wrong_ctx = std::sync::Arc::new(SimContext::build(
-            &other,
-            vec![2; 21],
-            vec![0; 21],
-            base.n_partitions,
-            base.epsilon,
-        ));
+        let wrong_ctx = context_for(&dense_network(21), &base);
         let r = Simulation::resume_with_context(
             wrong_ctx,
             sir_model(1.0, 5.0),

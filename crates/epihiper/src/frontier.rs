@@ -20,8 +20,9 @@
 //!
 //! Both structures are *indexes over* the authoritative per-node state
 //! (`SimState::health`, `SimState::exit_tick`); they never hold
-//! information that cannot be rebuilt from it (see
-//! `Simulation::rebuild_frontier`).
+//! information that cannot be rebuilt from it: the engine rebuilds the
+//! frontier whenever a simulation is built or resumed, and whenever
+//! health states were written outside the tick loop.
 
 use std::collections::HashMap;
 

@@ -711,9 +711,10 @@ mod tests {
     use super::*;
     use crate::covid::{covid19_model, states};
     use crate::disease::sir_model;
-    use crate::engine::{RuntimeNet, SimConfig, Simulation};
+    use crate::engine::{RuntimeNet, SimConfig, SimContext, Simulation};
     use epiflow_synthpop::network::ContactEdge;
     use epiflow_synthpop::ContactNetwork;
+    use std::sync::Arc;
 
     fn work_clique(n: u32) -> ContactNetwork {
         let mut edges = Vec::new();
@@ -733,13 +734,22 @@ mod tests {
         ContactNetwork { n_nodes: n as usize, edges }
     }
 
-    fn run_with(net: &ContactNetwork, interventions: InterventionSet, seed: u64) -> usize {
+    /// A simulation on `net` (age group 2, county 0 everywhere).
+    fn simulation(
+        net: &ContactNetwork,
+        model: DiseaseModel,
+        interventions: InterventionSet,
+        cfg: SimConfig,
+    ) -> Simulation {
         let n = net.n_nodes;
-        let mut sim = Simulation::new(
+        let ctx = SimContext::build(net, vec![2; n], vec![0; n], cfg.n_partitions, cfg.epsilon);
+        Simulation::new_with_context(Arc::new(ctx), model, interventions, cfg)
+    }
+
+    fn run_with(net: &ContactNetwork, interventions: InterventionSet, seed: u64) -> usize {
+        let mut sim = simulation(
             net,
             sir_model(1.2, 5.0),
-            vec![2; n],
-            vec![0; n],
             interventions,
             SimConfig { ticks: 80, seed, initial_infections: 3, ..Default::default() },
         );
@@ -806,18 +816,15 @@ mod tests {
     #[test]
     fn vhi_reduces_spread_in_covid_model() {
         let net = work_clique(80);
-        let n = net.n_nodes;
         let run = |ivs: InterventionSet| {
-            let mut sim = Simulation::new(
+            // Raise transmissibility so the clique epidemic is brisk.
+            let model = DiseaseModel { transmissibility: 0.5, ..covid19_model() };
+            let mut sim = simulation(
                 &net,
-                covid19_model(),
-                vec![2; n],
-                vec![0; n],
+                model,
                 ivs,
                 SimConfig { ticks: 100, seed: 11, initial_infections: 4, ..Default::default() },
             );
-            // Raise transmissibility so the clique epidemic is brisk.
-            sim.model.transmissibility = 0.5;
             sim.run().output.total_infections()
         };
         let base = run(InterventionSet::new());
@@ -1061,18 +1068,15 @@ mod tests {
         // A case importation at tick 4 via SetHealth must be picked up
         // by the engine (frontier rebuild) and seed an epidemic.
         let net = work_clique(30);
-        let n = net.n_nodes;
         let gi = GenericIntervention::new(
             "import",
             Trigger::AtTick { tick: 4 },
             Target::Node { node: 3 },
             vec![Operation::SetHealth { to: 1 }],
         );
-        let mut sim = Simulation::new(
+        let mut sim = simulation(
             &net,
             sir_model(2.0, 5.0),
-            vec![2; n],
-            vec![0; n],
             InterventionSet::new().with(Box::new(gi)),
             SimConfig { ticks: 40, seed: 8, initial_infections: 0, ..Default::default() },
         );

@@ -23,7 +23,10 @@
 //!   threads (standing in for MPI ranks) with a barrier per tick;
 //!   per-(node, tick) counter-based RNG makes results *independent of
 //!   thread count*. The default scan is frontier-based: per-tick cost
-//!   follows the epidemic, not the network.
+//!   follows the epidemic, not the network. A simulation is built
+//!   against a shared [`SimContext`] (network, partitioning,
+//!   demographics) with [`Simulation::new_with_context`], and restarted
+//!   from a snapshot with [`Simulation::resume_with_context`].
 //! * [`frontier`] — the active-set bitset and tick-bucket progression
 //!   queues behind the frontier scan.
 //! * [`checkpoint`] — tick-level checkpoint/restart: versioned,

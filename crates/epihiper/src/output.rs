@@ -89,13 +89,12 @@ impl SimOutput {
         self.current_counts.iter().map(|row| row[state as usize]).collect()
     }
 
-    /// County-level daily new counts into `state`.
-    pub fn county_daily_new(&self, county: usize, state: StateId) -> Vec<u32> {
-        self.county_new.iter().map(|row| row.get(county).map_or(0, |c| c[state as usize])).collect()
-    }
-
-    /// Total attack: everyone who ever left the susceptible pool
-    /// (= number of infection transmissions + initializations).
+    /// Transmissions in the transition log: the records with a cause.
+    /// Tick-0 seeds and progressions have none and are not counted, and
+    /// a run that kept no log
+    /// ([`SimConfig::record_transitions`](crate::SimConfig::record_transitions)
+    /// off) reads 0 here however far its epidemic spread; read such a
+    /// run's epidemic from `new_counts` instead.
     pub fn total_infections(&self) -> usize {
         self.transitions.iter().filter(|t| t.cause.is_some()).count()
     }

@@ -15,7 +15,7 @@
 //! * [`linalg`] — the dense linear algebra under the calibration stack
 //! * [`calibrate`] — GP-emulator Bayesian calibration (Appendix E)
 //! * [`hpcsim`] — two-cluster HPC environment + WMP scheduling heuristics (§V)
-//! * [`analytics`] — aggregation, ensembles, forecast targets, cost model
+//! * [`analytics`] — ensembles, output volume accounting, cost model
 //! * [`orchestrator`] — fault-tolerant DAG workflow engine: retries,
 //!   write-ahead journal checkpoint/resume, deadline-aware degradation
 //! * [`core`] — the workflow layer tying everything together (§II, §IV)

@@ -60,14 +60,18 @@ const FULL_SWEEP: f64 = 0.0;
 /// θ > 1: no partition ever sweeps; the frontier merge does all work.
 const NEVER_SWEEP: f64 = 2.0;
 
+/// A fresh context for `net` at `parts` partitions and the default ε
+/// (age group 2, county 0 everywhere).
+fn context(net: &ContactNetwork, parts: usize) -> Arc<SimContext> {
+    let n = net.n_nodes;
+    Arc::new(SimContext::build(net, vec![2; n], vec![0; n], parts, SimConfig::default().epsilon))
+}
+
 /// Run an SIR simulation on `net` at saturation threshold `theta`.
 fn run_epi(net: &ContactNetwork, beta: f64, seed: u64, parts: usize, theta: f64) -> SimResult {
-    let n = net.n_nodes;
-    let mut sim = Simulation::new(
-        net,
+    let mut sim = Simulation::new_with_context(
+        context(net, parts),
         sir_model(beta, 5.0),
-        vec![2; n],
-        vec![0; n],
         InterventionSet::default(),
         SimConfig {
             ticks: 30,
@@ -95,7 +99,6 @@ fn run_epi_ckpt(
     parts_after: usize,
     mk_iv: &dyn Fn() -> InterventionSet,
 ) -> SimResult {
-    let n = net.n_nodes;
     let cfg = |ticks: u32, parts: usize| SimConfig {
         ticks,
         seed,
@@ -105,11 +108,9 @@ fn run_epi_ckpt(
         ..Default::default()
     };
     let sim = |ticks: u32, parts: usize| {
-        Simulation::new(
-            net,
+        Simulation::new_with_context(
+            context(net, parts),
             sir_model(beta, 5.0),
-            vec![2; n],
-            vec![0; n],
             mk_iv(),
             cfg(ticks, parts),
         )
@@ -121,11 +122,9 @@ fn run_epi_ckpt(
     interrupted.run();
     let bytes = interrupted.snapshot().encode();
     let snap = SimSnapshot::decode(&bytes).expect("snapshot wire round-trip");
-    let mut resumed = Simulation::resume(
-        net,
+    let mut resumed = Simulation::resume_with_context(
+        context(net, parts_after),
         sir_model(beta, 5.0),
-        vec![2; n],
-        vec![0; n],
         mk_iv(),
         cfg(30, parts_after),
         &snap,
@@ -657,7 +656,6 @@ proptest! {
         k in 0u32..=30,
     ) {
         let net = make_network(n, &pairs);
-        let nn = net.n_nodes;
         let betas = [0.4f64, 1.5]; // two cells of a tiny study design
         let cfg = |seed: u64, ticks: u32, parts: usize| SimConfig {
             ticks,
@@ -667,21 +665,13 @@ proptest! {
             ..Default::default()
         };
         for parts in [1usize, 4, 13] {
-            let ctx = Arc::new(SimContext::build(
-                &net,
-                vec![2; nn],
-                vec![0; nn],
-                parts,
-                SimConfig::default().epsilon,
-            ));
+            let ctx = context(&net, parts);
             for (cell, &beta) in betas.iter().enumerate() {
                 for rep in 0..2u64 {
                     let seed = base_seed ^ ((cell as u64) << 16) ^ rep;
-                    let mut fresh = Simulation::new(
-                        &net,
+                    let mut fresh = Simulation::new_with_context(
+                        context(&net, parts),
                         sir_model(beta, 5.0),
-                        vec![2; nn],
-                        vec![0; nn],
                         InterventionSet::default(),
                         cfg(seed, 30, parts),
                     );
