@@ -21,7 +21,7 @@
 //! to one 300-tick run, for §VI's claim that partitioning costs more
 //! than a run (see EXPERIMENTS.md: it does not hold at this scale).
 
-use epiflow_bench::{print_row, region, run_covid};
+use epiflow_bench::{min_median, print_row, region, run_covid};
 use epiflow_epihiper::covid::states;
 use epiflow_epihiper::interventions::base_case;
 use epiflow_epihiper::partition::partition_network;
@@ -34,22 +34,16 @@ use epiflow_surveillance::RegionRegistry;
 use std::hint::black_box;
 use std::time::Instant;
 
-fn median_secs(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
 /// Median wall time of `reps` calls of `f`.
 fn median_wall_secs(reps: u64, mut f: impl FnMut()) -> f64 {
-    median_secs(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+    let secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    min_median(&secs).1
 }
 
 fn main() {
@@ -66,7 +60,7 @@ fn main() {
         let times: Vec<f64> = (0..reps)
             .map(|s| run_covid(&data, InterventionSet::new(), ticks, 4, s).elapsed.as_secs_f64())
             .collect();
-        let t = median_secs(times);
+        let t = min_median(&times).1;
         print_row(
             &[
                 abbrev,
@@ -91,13 +85,10 @@ fn main() {
 
     // --- measured serial throughput, next to the model's constant -----
     let calib_data = region(&reg, "VA", 500.0);
-    let serial = median_secs(
-        (0..reps)
-            .map(|s| {
-                run_covid(&calib_data, InterventionSet::new(), ticks, 1, s).elapsed.as_secs_f64()
-            })
-            .collect(),
-    );
+    let serial_secs: Vec<f64> = (0..reps)
+        .map(|s| run_covid(&calib_data, InterventionSet::new(), ticks, 1, s).elapsed.as_secs_f64())
+        .collect();
+    let serial = min_median(&serial_secs).1;
     let in_edges = (calib_data.network.n_edges() * 2) as f64 * ticks as f64;
     println!(
         "measured serial run (wall time, VA 1/500): {:.1} ns/in-edge",

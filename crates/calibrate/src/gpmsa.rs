@@ -26,7 +26,7 @@
 
 use crate::emulator::Emulator;
 use crate::mcmc::{metropolis, Chain, MetropolisConfig};
-use epiflow_linalg::{cholesky_jitter, Mat};
+use epiflow_linalg::{cholesky_jitter, ensemble_band, EnsembleBand, Mat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Gamma};
@@ -235,7 +235,7 @@ impl<'a> GpmsaCalibration<'a> {
         lo_q: f64,
         hi_q: f64,
         seed: u64,
-    ) -> PredictiveBand {
+    ) -> EnsembleBand {
         let draws = posterior.theta.resample(n_draws, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD5EED);
         let t = self.emulator.t_len;
@@ -251,40 +251,7 @@ impl<'a> GpmsaCalibration<'a> {
                 .collect();
             trajectories.push(traj);
         }
-        let mut median = Vec::with_capacity(t);
-        let mut lo = Vec::with_capacity(t);
-        let mut hi = Vec::with_capacity(t);
-        let mut col = vec![0.0; n_draws];
-        for i in 0..t {
-            for (j, traj) in trajectories.iter().enumerate() {
-                col[j] = traj[i];
-            }
-            median.push(epiflow_linalg::quantile(&col, 0.5));
-            lo.push(epiflow_linalg::quantile(&col, lo_q));
-            hi.push(epiflow_linalg::quantile(&col, hi_q));
-        }
-        PredictiveBand { median, lo, hi }
-    }
-}
-
-/// Median and quantile envelope of the posterior predictive.
-#[derive(Clone, Debug)]
-pub struct PredictiveBand {
-    pub median: Vec<f64>,
-    pub lo: Vec<f64>,
-    pub hi: Vec<f64>,
-}
-
-impl PredictiveBand {
-    /// Fraction of an observed series covered by the band.
-    pub fn coverage(&self, observed: &[f64]) -> f64 {
-        let n = observed.len().min(self.lo.len());
-        if n == 0 {
-            return 0.0;
-        }
-        let hits =
-            (0..n).filter(|&i| observed[i] >= self.lo[i] && observed[i] <= self.hi[i]).count();
-        hits as f64 / n as f64
+        ensemble_band(&trajectories, lo_q, hi_q)
     }
 }
 

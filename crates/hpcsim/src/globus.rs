@@ -44,25 +44,6 @@ impl GlobusLink {
     pub fn duration_secs(&self, bytes: u64) -> f64 {
         self.overhead_secs + bytes as f64 / self.bandwidth_bps
     }
-
-    /// Build a transfer record starting at `start_secs`.
-    pub fn transfer(
-        &self,
-        from: Site,
-        to: Site,
-        bytes: u64,
-        label: &str,
-        start_secs: f64,
-    ) -> Transfer {
-        Transfer {
-            from,
-            to,
-            bytes,
-            label: label.to_string(),
-            start_secs,
-            duration_secs: self.duration_secs(bytes),
-        }
-    }
 }
 
 /// Seeded fault model for a link: each transfer attempt independently
@@ -174,22 +155,9 @@ pub struct TransferLedger {
 }
 
 impl TransferLedger {
-    /// Record a transfer, returning its completion time.
-    pub fn record(&mut self, t: Transfer) -> f64 {
-        let end = t.start_secs + t.duration_secs;
-        self.transfers.push(t);
-        end
-    }
-
     /// Total bytes moved in a direction.
     pub fn bytes_moved(&self, from: Site, to: Site) -> u64 {
         self.transfers.iter().filter(|t| t.from == from && t.to == to).map(|t| t.bytes).sum()
-    }
-
-    /// Total transfer wall-clock (sum of durations; transfers in this
-    /// workflow are sequential hand-offs between stages).
-    pub fn total_secs(&self) -> f64 {
-        self.transfers.iter().map(|t| t.duration_secs).sum()
     }
 }
 
@@ -211,26 +179,6 @@ mod tests {
         let link = GlobusLink::default();
         let d = link.duration_secs(1);
         assert!((d - link.overhead_secs).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ledger_accounting() {
-        let link = GlobusLink::default();
-        let mut ledger = TransferLedger::default();
-        let end1 = ledger.record(link.transfer(
-            Site::Home,
-            Site::Remote,
-            8_700_000_000, // 8.7 GB daily configs (Table II max)
-            "daily configs",
-            0.0,
-        ));
-        ledger.record(link.transfer(Site::Remote, Site::Home, 200_000_000, "summaries", end1));
-        assert_eq!(ledger.bytes_moved(Site::Home, Site::Remote), 8_700_000_000);
-        assert_eq!(ledger.bytes_moved(Site::Remote, Site::Home), 200_000_000);
-        assert_eq!(ledger.transfers.len(), 2);
-        assert!(ledger.total_secs() > 0.0);
-        // Second transfer starts when the first ends.
-        assert!((ledger.transfers[1].start_secs - end1).abs() < 1e-9);
     }
 
     #[test]

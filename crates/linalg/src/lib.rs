@@ -13,17 +13,23 @@
 //! * [`pca`](mod@pca) — principal component analysis built on the eigen module,
 //!   used to construct the `pη = 5` eigenvector output basis of the
 //!   paper's Eq. (3).
+//! * [`quantile`] and [`band`] — type-7 empirical quantiles and the
+//!   quantile band over an ensemble of time series ([`EnsembleBand`]),
+//!   the statistic behind the calibration's predictive band (Fig. 16)
+//!   and the prediction workflow's 95% band (Fig. 17).
 //!
 //! Everything is deterministic and allocation-conscious; the matrices in
 //! the calibration loop are at most a few hundred rows, so cache-friendly
 //! row-major storage with straightforward triple loops is both simpler and
 //! faster than blocked algorithms at this scale.
 
+pub mod band;
 pub mod cholesky;
 pub mod eigen;
 pub mod mat;
 pub mod pca;
 
+pub use band::{ensemble_band, EnsembleBand};
 pub use cholesky::{cholesky, cholesky_jitter, Cholesky};
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use mat::Mat;

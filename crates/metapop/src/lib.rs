@@ -8,13 +8,10 @@
 //!
 //! Compartments per county: S, E, P (presymptomatic), Iₐ (asymptomatic),
 //! Iₛ (symptomatic), H (hospitalized), R, D. Counties are coupled by a
-//! row-stochastic commuting matrix. Two integrators:
-//!
-//! * [`model::MetapopModel::run_deterministic`] — RK4 on the ODEs; cheap
-//!   enough to sit inside an MCMC loop (the paper calibrates the
-//!   metapopulation model by direct simulation, Appendix E).
-//! * [`model::MetapopModel::run_stochastic`] — binomial tau-leap for
-//!   uncertainty bands and small-count realism.
+//! row-stochastic commuting matrix. One integrator,
+//! [`model::MetapopModel::run_deterministic`]: RK4 on the ODEs, cheap
+//! enough to sit inside an MCMC loop (the paper calibrates the
+//! metapopulation model by direct simulation, Appendix E).
 //!
 //! Scenario support mirrors the case study's factorial: a worst-case
 //! (no distancing) plus intense-social-distancing scenarios with

@@ -5,8 +5,6 @@ use crate::params::{
     Scenario, SeirParams, ASYMPTOMATIC_FRACTION, DELTA, ETA, HOSPITALIZATION_FRACTION,
     HOSPITAL_FATALITY, REL_ASYMPTOMATIC, REL_PRESYMPTOMATIC, SIGMA,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Compartment indices within one county's state vector.
 const S: usize = 0;
@@ -212,74 +210,6 @@ impl MetapopModel {
         }
         MetapopOutput { series, new_cases }
     }
-
-    /// Stochastic run: daily binomial tau-leap (each flux becomes a
-    /// binomial draw with the ODE's per-day hazard).
-    pub fn run_stochastic(
-        &self,
-        days: u32,
-        seeds: &[f64],
-        scenario: &Scenario,
-        seed: u64,
-    ) -> MetapopOutput {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = self.initial_state(seeds);
-        let n = self.populations.len();
-        let p = &self.params;
-        let mut series = Vec::with_capacity(days as usize);
-        let mut new_cases = Vec::with_capacity(days as usize);
-
-        let binom = |count: f64, rate: f64, rng: &mut StdRng| -> f64 {
-            let count = count.max(0.0).round() as u64;
-            if count == 0 {
-                return 0.0;
-            }
-            let prob = (1.0 - (-rate).exp()).clamp(0.0, 1.0);
-            if count > 10_000 {
-                // Normal approximation for large counts.
-                let mean = count as f64 * prob;
-                let var = mean * (1.0 - prob);
-                let z: f64 = rand_distr::Distribution::sample(&rand_distr::StandardNormal, rng);
-                (mean + var.sqrt() * z).round().clamp(0.0, count as f64)
-            } else {
-                (0..count).filter(|_| rng.random_bool(prob)).count() as f64
-            }
-        };
-
-        for day in 0..days {
-            let beta = self.params.beta * scenario.multiplier(day);
-            let lambda = self.force_of_infection(&state, beta);
-            let mut day_cases = vec![0.0; n];
-            for i in 0..n {
-                let infections = binom(state[i][S], lambda[i], &mut rng);
-                let e_out = binom(state[i][E], SIGMA, &mut rng);
-                let to_asym = (e_out * ASYMPTOMATIC_FRACTION).round();
-                let to_pre = e_out - to_asym;
-                let p_out = binom(state[i][P], DELTA, &mut rng);
-                let ia_out = binom(state[i][IA], p.gamma, &mut rng);
-                let is_out = binom(state[i][IS], p.gamma, &mut rng);
-                let to_hosp = (is_out * HOSPITALIZATION_FRACTION).round();
-                let h_out = binom(state[i][H], ETA, &mut rng);
-                let to_death = (h_out * HOSPITAL_FATALITY).round();
-
-                state[i][S] -= infections;
-                state[i][E] += infections - e_out;
-                state[i][P] += to_pre - p_out;
-                state[i][IA] += to_asym - ia_out;
-                state[i][IS] += p_out - is_out;
-                state[i][H] += to_hosp - h_out;
-                state[i][R] += ia_out + (is_out - to_hosp) + (h_out - to_death);
-                state[i][D] += to_death;
-                for v in state[i].iter_mut() {
-                    *v = v.max(0.0);
-                }
-                day_cases[i] = p_out;
-            }
-            series.push(state.clone());
-            new_cases.push(day_cases);
-        }
-        MetapopOutput { series, new_cases }
-    }
 }
 
 fn add_scaled(state: &[[f64; NC]], k: &[[f64; NC]], h: f64) -> Vec<[f64; NC]> {
@@ -424,37 +354,6 @@ mod tests {
         let hosp_peak =
             hosp.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert!(hosp_peak >= case_peak, "hospital peak {hosp_peak} lags case peak {case_peak}");
-    }
-
-    #[test]
-    fn stochastic_mean_tracks_deterministic() {
-        let m = MetapopModel::new(
-            SeirParams::default().with_r0(2.5),
-            Mixing::isolated(1),
-            vec![50_000.0],
-        );
-        let det = m.run_deterministic(150, &[20.0], &no_distancing(), 4);
-        let det_total = det.final_cumulative_cases()[0];
-        let n_reps = 10;
-        let mean_total: f64 = (0..n_reps)
-            .map(|s| {
-                m.run_stochastic(150, &[20.0], &no_distancing(), s).final_cumulative_cases()[0]
-            })
-            .sum::<f64>()
-            / n_reps as f64;
-        let rel = (mean_total - det_total).abs() / det_total;
-        assert!(rel < 0.25, "stochastic mean {mean_total} vs ODE {det_total}");
-    }
-
-    #[test]
-    fn stochastic_replicates_differ() {
-        let m = two_county_model();
-        let a = m.run_stochastic(100, &[10.0, 0.0], &no_distancing(), 1);
-        let b = m.run_stochastic(100, &[10.0, 0.0], &no_distancing(), 2);
-        assert_ne!(a.state_new_cases(), b.state_new_cases());
-        // Determinism per seed.
-        let a2 = m.run_stochastic(100, &[10.0, 0.0], &no_distancing(), 1);
-        assert_eq!(a.state_new_cases(), a2.state_new_cases());
     }
 
     #[test]

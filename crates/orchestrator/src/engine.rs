@@ -826,7 +826,8 @@ impl Engine {
         let mut bounds = Vec::with_capacity(self.env.region_rows.len());
         let mut secs = 0.0f64;
         for &(region, rows) in &self.env.region_rows {
-            let standby = PopulationDb::standby(region, rows, self.env.db_max_connections);
+            // The region's cold-standby replica: a fresh database.
+            let standby = PopulationDb::new(region, rows, self.env.db_max_connections);
             if !breakers.get(Resource::PopulationDb).admits(attempt_start) {
                 // Fleet breaker open: restore this region on its cold
                 // standby from the start. The standby has a clean

@@ -56,11 +56,15 @@ fn main() {
     // 4. Inspect the outcome.
     let cum = result.output.cumulative(states::SYMPTOMATIC);
     let deaths = result.output.cumulative(states::DEATH);
+    // Persons infected: the tick-0 seeds plus every transmission.
+    let seeded = result.output.seeded as usize;
+    let transmitted = result.output.total_infections();
     println!(
-        "Outcome: {} cumulative symptomatic cases, {} deaths, {} total infections",
+        "Outcome: {} cumulative symptomatic cases, {} deaths, {} persons infected \
+         ({seeded} seeds + {transmitted} transmissions)",
         cum.last().unwrap(),
         deaths.last().unwrap(),
-        result.output.total_infections()
+        seeded + transmitted
     );
     let d = result.output.dendogram_stats(&model);
     println!(
