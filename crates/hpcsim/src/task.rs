@@ -27,6 +27,23 @@ pub struct Task {
     pub actual_secs: f64,
 }
 
+/// The DB bound of every region present in `tasks`, indexed by region
+/// id: `db_bound` is called once per distinct region and a bound of 0
+/// counts as 1. Ids of regions not in `tasks` read 0.
+pub(crate) fn region_bounds<F>(tasks: &[Task], db_bound: F) -> Vec<usize>
+where
+    F: Fn(RegionId) -> usize,
+{
+    let n_regions = tasks.iter().map(|t| t.region + 1).max().unwrap_or(0);
+    let mut bound = vec![0; n_regions];
+    for t in tasks {
+        if bound[t.region] == 0 {
+            bound[t.region] = db_bound(t.region).max(1);
+        }
+    }
+    bound
+}
+
 /// Deterministic per-task noise in `[lo, hi]` from a hash (keeps
 /// workload generation free of RNG state).
 fn hash_noise(seed: u64, a: u64, b: u64, lo: f64, hi: f64) -> f64 {
