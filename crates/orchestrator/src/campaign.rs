@@ -256,15 +256,24 @@ impl CampaignSpec {
 
     /// Run the full campaign, nights fanned out across rayon workers.
     /// Output order (and content) is independent of worker count.
+    ///
+    /// Nights are handed out highest fault intensity first: a night's
+    /// cost grows with its faults, and a heavy night claimed last would
+    /// leave the other workers idle while it runs. The outcomes are put
+    /// back in `(intensity, night)` order.
     pub fn run(&self) -> CampaignReport {
-        let jobs: Vec<(usize, u64)> = self
+        let mut jobs: Vec<(usize, u64)> = self
             .intensities
             .iter()
             .enumerate()
             .flat_map(|(ii, _)| (0..self.nights_per_intensity as u64).map(move |n| (ii, n)))
             .collect();
-        let outcomes: Vec<NightOutcome> =
-            jobs.par_iter().map(|&(ii, night)| self.run_night(ii, night)).collect();
+        // Stable: equal intensities keep their (intensity, night) order.
+        jobs.sort_by(|a, b| self.intensities[b.0].total_cmp(&self.intensities[a.0]));
+        let mut ran: Vec<((usize, u64), NightOutcome)> =
+            jobs.par_iter().map(|&(ii, night)| ((ii, night), self.run_night(ii, night))).collect();
+        ran.sort_unstable_by_key(|r| r.0);
+        let outcomes: Vec<NightOutcome> = ran.into_iter().map(|r| r.1).collect();
 
         let per_intensity = self
             .intensities

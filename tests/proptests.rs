@@ -631,13 +631,20 @@ proptest! {
             base_seed,
             profile: FaultProfile::Mixed,
         };
-        let parallel = spec.run();
-        prop_assert_eq!(&parallel, &spec.run());
-        let sequential: Vec<_> = (0..spec.intensities.len())
-            .flat_map(|ii| (0..3u64).map(move |n| (ii, n)))
-            .map(|(ii, n)| spec.run_night(ii, n))
-            .collect();
-        prop_assert_eq!(&parallel.outcomes, &sequential);
+        // The campaign hands out nights by descending intensity; an
+        // unsorted grid must still report in (intensity, night) order.
+        for intensities in [spec.intensities.clone(), vec![1.0, 0.0, 0.5]] {
+            let spec = CampaignSpec { intensities, ..spec.clone() };
+            let parallel = spec.run();
+            prop_assert_eq!(&parallel, &spec.run());
+            let sequential: Vec<_> = (0..spec.intensities.len())
+                .flat_map(|ii| (0..3u64).map(move |n| (ii, n)))
+                .map(|(ii, n)| spec.run_night(ii, n))
+                .collect();
+            prop_assert_eq!(&parallel.outcomes, &sequential);
+            let reported: Vec<f64> = parallel.per_intensity.iter().map(|i| i.intensity).collect();
+            prop_assert_eq!(reported, spec.intensities.clone());
+        }
     }
 }
 
