@@ -97,21 +97,6 @@ impl ClusterSpec {
     pub fn failover_slowdown(&self, reference: &ClusterSpec) -> f64 {
         self.contention * reference.cores_per_node() as f64 / self.cores_per_node() as f64
     }
-
-    /// Is the cluster available at a given second-of-day?
-    pub fn available_at(&self, second_of_day: u32) -> bool {
-        let s = second_of_day % 86_400;
-        match self.window {
-            None => true,
-            Some((start, end)) => {
-                if end >= start {
-                    s >= start && s < end
-                } else {
-                    s >= start || s < end
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,20 +118,12 @@ mod tests {
         assert_eq!(r.nodes, 50);
         assert_eq!(r.cores_per_node(), 40);
         assert_eq!(r.ram_gb_per_node, 384);
-        assert!(r.available_at(12 * 3600));
     }
 
     #[test]
     fn nightly_window_wraps_midnight() {
         let b = ClusterSpec::bridges();
         assert_eq!(b.window_secs(), 10 * 3600); // "10 hours a day"
-        assert!(b.available_at(23 * 3600)); // 11 pm
-        assert!(b.available_at(2 * 3600)); // 2 am
-        assert!(b.available_at(7 * 3600 + 3599)); // 7:59:59 am
-        assert!(!b.available_at(8 * 3600)); // 8 am sharp
-        assert!(!b.available_at(12 * 3600)); // noon
-        assert!(!b.available_at(21 * 3600 + 3599)); // 9:59:59 pm
-        assert!(b.available_at(22 * 3600)); // 10 pm sharp
     }
 
     #[test]
@@ -165,14 +142,5 @@ mod tests {
     fn non_wrapping_window() {
         let c = ClusterSpec { window: Some((9 * 3600, 17 * 3600)), ..ClusterSpec::rivanna() };
         assert_eq!(c.window_secs(), 8 * 3600);
-        assert!(c.available_at(10 * 3600));
-        assert!(!c.available_at(18 * 3600));
-    }
-
-    #[test]
-    fn day_offsets_normalize() {
-        let b = ClusterSpec::bridges();
-        // Second 23:00 on day 3.
-        assert!(b.available_at(3 * 86_400 + 23 * 3600));
     }
 }

@@ -11,8 +11,6 @@
 //! * [`schedule`] — the workflow mapping problem (WMP): level-oriented
 //!   2-D bin packing with database-access constraints; the **NFDT-DC**
 //!   and **FFDT-DC** heuristics and the empirical-efficiency metric EC.
-//! * [`coloring`] — the r-relaxed graph coloring formulation of the
-//!   DB-access constraint, with the greedy algorithm and validators.
 //! * [`slurm`] — an event-driven Slurm-like executor ("Slurm further
 //!   does a certain amount of real-time optimization"): job arrays
 //!   dispatched in plan order as nodes free up and DB bounds allow.
@@ -21,7 +19,6 @@
 //! * [`globus`] — the Globus-like transfer model between the clusters.
 
 pub mod cluster;
-pub mod coloring;
 pub mod dbsim;
 pub mod globus;
 pub mod schedule;
@@ -29,7 +26,6 @@ pub mod slurm;
 pub mod task;
 
 pub use cluster::{ClusterSpec, Site};
-pub use coloring::{greedy_relaxed_coloring, validate_relaxed_coloring, ConflictGraph};
 pub use dbsim::PopulationDb;
 pub use globus::{GlobusLink, LinkFaults, Transfer};
 pub use schedule::{pack, pack_arrival, pack_in_order, ExecStats, Level, LevelPlan, PackAlgo};

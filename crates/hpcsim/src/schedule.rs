@@ -161,11 +161,6 @@ impl LevelPlan {
         self.levels.iter().map(|l| l.tasks.len()).sum()
     }
 
-    /// Estimated makespan: sum of level heights.
-    pub fn est_makespan(&self) -> f64 {
-        self.levels.iter().map(|l| l.height_est).sum()
-    }
-
     /// Simulate execution with the tasks' *actual* runtimes: levels run
     /// in sequence (job-array chunks with a barrier), each level's
     /// duration is its slowest realized task.
@@ -333,19 +328,22 @@ mod tests {
     }
 
     #[test]
-    fn est_makespan_sums_levels() {
-        let tasks = vec![task(0, 0, 4, 100.0), task(1, 1, 4, 60.0)];
-        let plan = pack(&tasks, 4, |_| 10, PackAlgo::NfdtDc);
-        assert_eq!(plan.levels.len(), 2);
-        assert!((plan.est_makespan() - 160.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn validate_catches_overwidth() {
         let tasks = vec![task(0, 0, 4, 10.0), task(1, 1, 4, 10.0)];
         let mut plan = pack(&tasks, 8, |_| 10, PackAlgo::FfdtDc);
         plan.total_nodes = 4; // corrupt
         assert!(plan.validate(&tasks, |_| 10).is_err());
+    }
+
+    #[test]
+    fn validate_catches_region_over_its_bound() {
+        // Both tasks of region 0 share a level under a bound of 2; a bound
+        // of 1 (an r-relaxed colouring with r = 0) rejects that level.
+        let tasks = vec![task(0, 0, 1, 10.0), task(1, 0, 1, 10.0)];
+        let plan = pack(&tasks, 8, |_| 2, PackAlgo::FfdtDc);
+        assert_eq!(plan.levels.len(), 1);
+        plan.validate(&tasks, |_| 2).unwrap();
+        assert!(plan.validate(&tasks, |_| 1).is_err());
     }
 
     #[test]

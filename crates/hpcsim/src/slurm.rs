@@ -139,105 +139,261 @@ fn attempt_secs(t: &Task, done_ticks: u32, ticks_per_task: u32) -> f64 {
     }
 }
 
-/// The job queue, indexed by node demand. Every queued job carries a
-/// `u32` key that rises with its queue position: `keys` holds the keys
-/// in queue order, and each distinct node demand keeps a FIFO of
-/// `(key, task index)` in key order. A dispatch then reads only the
-/// jobs whose demand fits the free nodes.
+/// The job queue, split into lanes: one FIFO per ⟨node demand, region⟩.
+///
+/// Every queued job carries a `u32` key that rises with its queue
+/// position, and `keys` holds the keys in queue order, so the lookahead
+/// window of `scan` entries ends at key `keys[scan - 1]`. A *lane* holds
+/// the `(key, task index)` entries of one demand class and one region in
+/// key order.
+///
+/// The queue also owns the per-region DB headroom: the bound less the
+/// region's running jobs. Each class keeps its *ready set* as a
+/// [`MinTree`] over regions: between calls, leaf `r` of class `c` holds
+/// the head key of lane ⟨c, r⟩ if that lane is not empty and
+/// `headroom[r] > 0`, and `u32::MAX` otherwise. So a dispatch that takes a
+/// region's headroom to 0 takes its lanes out of every class's ready set,
+/// and [`DemandQueue::release`] puts them back when a completion or a
+/// kill returns it to 1.
+///
+/// The smallest key a class can start is then its ready set's first
+/// entry, unless that job cannot finish before the window closes. Such a
+/// head is *dead*: `now` never decreases over a run, and a queued job's
+/// `done_ticks` changes only when it is killed while running, so its
+/// attempt can never fit again. A dead head is dropped from its lane, but
+/// its key stays in `keys`: it still fills a slot of the lookahead window
+/// and counts as unstarted, as in a plain scan of the queue.
 struct DemandQueue {
     keys: VecDeque<u32>,
-    /// `(node demand, FIFO)` per demand class, by ascending demand.
-    classes: Vec<(usize, VecDeque<(u32, u32)>)>,
+    /// Node demand of each class, ascending.
+    demands: Vec<usize>,
+    /// Lane ⟨c, r⟩ at `c * regions + r`.
+    lanes: Vec<VecDeque<(u32, u32)>>,
+    /// Per class, each region's ready head key (`u32::MAX` if none).
+    ready: Vec<MinTree<u32>>,
+    /// Per-region DB headroom, indexed by region id.
+    headroom: Vec<usize>,
     /// The key the last requeued job took (initially the first job's
     /// key): every queued key is at least this.
     front_key: u32,
-    /// Requeues that found their demand class empty.
-    empty_class_requeues: usize,
+    counts: RunCounts,
+}
+
+/// How often a run took the rare paths of its queue and completion tree,
+/// which the oracle's random inputs must reach.
+#[derive(Clone, Copy, Debug, Default)]
+#[cfg_attr(not(test), allow(dead_code))] // read by the coverage test only
+struct RunCounts {
+    /// Requeued jobs that found their lane empty.
+    empty_lane_requeues: usize,
+    /// Kills in a region at its DB cap: the kill returns the region's
+    /// lanes, the one its job is requeued to among them, to the ready sets.
+    capped_requeues: usize,
+    /// Window-dead heads dropped from their lanes.
+    dead_heads: usize,
+    /// Releases that returned a region to two or more classes' ready sets.
+    multi_class_rejoins: usize,
+    /// Completions chosen among equal end times.
+    tied_completions: usize,
 }
 
 impl DemandQueue {
-    /// `order` as submitted. Keys count up from `u32::MAX - order.len()`,
-    /// which leaves that many keys below for requeued jobs; each class
-    /// FIFO is sized exactly, and a class never grows past its initial
-    /// size because a requeued job left it when it started.
-    fn new(tasks: &[Task], order: &[usize]) -> Self {
+    /// `order` as submitted, with the per-region `headroom` of
+    /// `region_bounds`. Keys count up from `u32::MAX - order.len()`,
+    /// which leaves that many keys below for requeued jobs.
+    fn new(tasks: &[Task], order: &[usize], headroom: Vec<usize>) -> Self {
         let len = u32::try_from(order.len()).expect("queue length fits u32");
         let front_key = u32::MAX - len;
-        let mut sizes: Vec<(usize, usize)> = Vec::new();
-        for &ti in order {
-            match sizes.binary_search_by_key(&tasks[ti].nodes, |c| c.0) {
-                Ok(ci) => sizes[ci].1 += 1,
-                Err(ci) => sizes.insert(ci, (tasks[ti].nodes, 1)),
-            }
-        }
-        let mut classes: Vec<(usize, VecDeque<(u32, u32)>)> =
-            sizes.into_iter().map(|(nodes, n)| (nodes, VecDeque::with_capacity(n))).collect();
+        let mut demands: Vec<usize> = order.iter().map(|&ti| tasks[ti].nodes).collect();
+        demands.sort_unstable();
+        demands.dedup();
+        let regions = headroom.len();
+        let mut lanes = vec![VecDeque::new(); demands.len() * regions];
         for (&ti, key) in order.iter().zip(front_key..) {
-            let ci = classes.binary_search_by_key(&tasks[ti].nodes, |c| c.0).expect("sized above");
-            classes[ci].1.push_back((key, u32::try_from(ti).expect("task index fits u32")));
+            let ci = demands.binary_search(&tasks[ti].nodes).expect("a queued demand");
+            lanes[ci * regions + tasks[ti].region]
+                .push_back((key, u32::try_from(ti).expect("task index fits u32")));
         }
-        DemandQueue {
+        let mut queue = DemandQueue {
             keys: (front_key..front_key + len).collect(),
-            classes,
+            ready: vec![MinTree::new(regions, u32::MAX); demands.len()],
+            demands,
+            lanes,
+            headroom,
             front_key,
-            empty_class_requeues: 0,
+            counts: RunCounts::default(),
+        };
+        for region in 0..regions {
+            queue.refresh_region(region);
         }
+        queue
     }
 
-    fn len(&self) -> usize {
-        self.keys.len()
+    fn lane(&mut self, ci: usize, region: usize) -> &mut VecDeque<(u32, u32)> {
+        &mut self.lanes[ci * self.headroom.len() + region]
+    }
+
+    /// Restore class `ci`'s ready-set leaf for `region`.
+    fn refresh(&mut self, ci: usize, region: usize) {
+        let head = self.lane(ci, region).front().map(|e| e.0);
+        let key = head.filter(|_| self.headroom[region] > 0).unwrap_or(u32::MAX);
+        self.ready[ci].set(region, key);
+    }
+
+    /// Restore every class's ready-set leaf for `region`.
+    fn refresh_region(&mut self, region: usize) {
+        for ci in 0..self.demands.len() {
+            self.refresh(ci, region);
+        }
     }
 
     /// Remove and return the first job in queue order, among the first
-    /// `scan` entries, whose node demand fits `free_nodes` and which
-    /// passes `eligible`. Only classes that fit are read, each from its
-    /// head, and a class walk stops at the window's last key or at a key
-    /// past the best candidate so far.
+    /// `scan` entries, whose node demand fits `free_nodes`, whose region
+    /// has headroom and which `fits` the window. Only classes that fit
+    /// are read, each from the first entry of its ready set: up to the
+    /// window's last key or the best candidate so far, dropping dead
+    /// heads on the way.
     fn pop_first(
         &mut self,
         scan: usize,
         free_nodes: usize,
-        eligible: impl Fn(usize) -> bool,
+        fits: impl Fn(usize) -> bool,
     ) -> Option<usize> {
         let window_end = *self.keys.get(scan.checked_sub(1)?)?;
-        // (key, class, position in the class) of the best candidate.
+        // (key, class, region) of the best candidate.
         let mut best: Option<(u32, usize, usize)> = None;
-        for (ci, (nodes, fifo)) in self.classes.iter().enumerate() {
-            if *nodes > free_nodes {
+        for ci in 0..self.demands.len() {
+            if self.demands[ci] > free_nodes {
                 break;
             }
             let limit = best.map_or(window_end, |b| b.0);
-            // The first entry past the limit or eligible; a candidate only
-            // if within the limit. Read slice by slice: the deque's own
-            // iterator made the walk about a quarter slower.
-            let stop = |e: &(u32, u32)| e.0 > limit || eligible(e.1 as usize);
-            let (head, tail) = fifo.as_slices();
-            let pos = head
-                .iter()
-                .position(stop)
-                .or_else(|| tail.iter().position(stop).map(|p| head.len() + p))
-                .filter(|&p| fifo[p].0 <= limit);
-            if let Some(pos) = pos {
-                best = Some((fifo[pos].0, ci, pos));
+            loop {
+                // Queued keys are below `u32::MAX`, so an empty set stops here.
+                let (key, region) = self.ready[ci].first();
+                if key > limit {
+                    break;
+                }
+                let (_, ti) = self.lane(ci, region)[0];
+                if fits(ti as usize) {
+                    best = Some((key, ci, region));
+                    break;
+                }
+                self.counts.dead_heads += 1;
+                self.lane(ci, region).pop_front();
+                self.refresh(ci, region);
             }
         }
-        let (key, ci, pos) = best?;
-        let (_, ti) = self.classes[ci].1.remove(pos).expect("picked within its class");
+        let (key, ci, region) = best?;
+        let (_, ti) = self.lane(ci, region).pop_front().expect("a ready lane is not empty");
         let qi = self.keys.binary_search(&key).expect("a picked key is queued");
         self.keys.remove(qi);
+        self.headroom[region] -= 1;
+        if self.headroom[region] == 0 {
+            self.refresh_region(region);
+        } else {
+            self.refresh(ci, region);
+        }
         Some(ti as usize)
     }
 
-    /// Requeue task `ti` (of node demand `nodes`) at the head of the
-    /// queue, with a key below every queued one.
-    fn push_front(&mut self, ti: usize, nodes: usize) {
+    /// Return one DB connection to `region`, after a completion or a
+    /// kill; a region back from its cap rejoins the ready sets. Returns
+    /// whether the region was at its cap.
+    fn release(&mut self, region: usize) -> bool {
+        self.headroom[region] += 1;
+        if self.headroom[region] > 1 {
+            return false;
+        }
+        let lanes = (0..self.demands.len()).filter(|&ci| !self.lane(ci, region).is_empty());
+        self.counts.multi_class_rejoins += usize::from(lanes.count() >= 2);
+        self.refresh_region(region);
+        true
+    }
+
+    /// Requeue task `ti` at the head of the queue and of its lane, with a
+    /// key below every queued one.
+    fn push_front(&mut self, ti: usize, t: &Task) {
         self.front_key = self.front_key.checked_sub(1).expect("requeue keys exhausted");
         self.keys.push_front(self.front_key);
-        let ci = self.classes.binary_search_by_key(&nodes, |c| c.0).expect("a queued demand class");
-        let ti = u32::try_from(ti).expect("task index fits u32");
-        let fifo = &mut self.classes[ci].1;
-        self.empty_class_requeues += usize::from(fifo.is_empty());
-        fifo.push_front((self.front_key, ti));
+        let ci = self.demands.binary_search(&t.nodes).expect("a queued demand class");
+        let entry = (self.front_key, u32::try_from(ti).expect("task index fits u32"));
+        self.counts.empty_lane_requeues += usize::from(self.lane(ci, t.region).is_empty());
+        self.lane(ci, t.region).push_front(entry);
+        self.refresh(ci, t.region);
+    }
+}
+
+/// A leftmost-min tournament tree over the slots `0..n`: each inner
+/// node holds the smaller `(key, slot)` of its two children, the left one
+/// on equal keys. Every slot under a left child is lower than every slot
+/// under its sibling, so the root is the *first* minimum by slot, the
+/// element `Iterator::min_by` over the slots picks. Setting a slot costs
+/// one pass up the tree.
+#[derive(Clone)]
+struct MinTree<K> {
+    /// Node 1 is the root and node 0 is unused; leaf `i` is at `len / 2 + i`.
+    nodes: Vec<(K, usize)>,
+}
+
+impl<K: PartialOrd + Copy> MinTree<K> {
+    /// A tree over `n` slots, each holding `empty`, a key above every
+    /// key that is set.
+    fn new(n: usize, empty: K) -> Self {
+        MinTree { nodes: vec![(empty, 0); 2 * n.next_power_of_two()] }
+    }
+
+    /// The smallest key and its lowest slot.
+    fn first(&self) -> (K, usize) {
+        self.nodes[1]
+    }
+
+    fn set(&mut self, slot: usize, key: K) {
+        let mut node = self.nodes.len() / 2 + slot;
+        self.nodes[node] = (key, slot);
+        while node > 1 {
+            node /= 2;
+            let (left, right) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
+            self.nodes[node] = if right.0 < left.0 { right } else { left };
+        }
+    }
+}
+
+/// A running job: end time, start time, task index and planned duration.
+type Job = (f64, f64, usize, f64);
+
+/// The running jobs, with a [`MinTree`] of their end times for the next
+/// completion: on equal end times it picks the lowest slot, as a linear
+/// scan would (a binary heap would reorder them).
+struct Running {
+    jobs: Vec<Job>,
+    ends: MinTree<f64>,
+}
+
+impl Running {
+    /// Room for `most` jobs at once.
+    fn new(most: usize) -> Self {
+        Running { jobs: Vec::with_capacity(most), ends: MinTree::new(most, f64::INFINITY) }
+    }
+
+    /// Slot and end time of the next job to complete.
+    fn next_end(&self) -> Option<(usize, f64)> {
+        let (end, slot) = self.ends.first();
+        (!self.jobs.is_empty()).then_some((slot, end))
+    }
+
+    fn push(&mut self, job: Job) {
+        self.ends.set(self.jobs.len(), job.0);
+        self.jobs.push(job);
+    }
+
+    /// Remove the job in `slot`; the last job moves into it.
+    fn swap_remove(&mut self, slot: usize) -> Job {
+        let job = self.jobs.swap_remove(slot);
+        if let Some(moved) = self.jobs.get(slot) {
+            self.ends.set(slot, moved.0);
+        }
+        self.ends.set(self.jobs.len(), f64::INFINITY);
+        job
     }
 }
 
@@ -292,15 +448,22 @@ impl SlurmSim {
     /// Each dispatch starts the first job in queue order, within the
     /// first `lookahead + 1` queue entries, that fits the free nodes, has
     /// DB headroom in its region and can finish before the window
-    /// closes; dispatches repeat until none can start. The queue is
-    /// indexed by node demand: every entry carries a `u32` key that rises
-    /// with queue position (a requeued job takes a key below the current
-    /// minimum), and each distinct demand keeps a FIFO of its entries in
-    /// key order. A dispatch reads only the classes whose demand fits the
-    /// free nodes, each from its head, up to the key of the window's
-    /// last entry or of the best candidate so far, and starts the
-    /// smallest key that passes. Jobs that need more nodes than are free
-    /// are never read.
+    /// closes; dispatches repeat until none can start. Between
+    /// dispatches, the earliest end time among running jobs completes
+    /// (on equal end times, the job started first in slot order), unless
+    /// a node failure fires first. Both steps cost about a logarithm of
+    /// the queue or of the running set:
+    /// - the queue keeps one FIFO per ⟨node demand, region⟩ and, per
+    ///   demand, a tournament tree over regions of the heads of the FIFOs
+    ///   whose region has DB headroom. A dispatch reads one head per demand
+    ///   that fits the free nodes, and drops heads that can no longer
+    ///   finish before the window closes (task runtimes are
+    ///   non-negative, so the clock never runs backwards). Jobs that
+    ///   need more nodes than are free, or whose region is at its DB
+    ///   bound, are never read;
+    /// - a tournament tree over the running jobs' slots names the next
+    ///   completion and breaks ties toward the lower slot, as a linear
+    ///   scan would.
     pub fn run_with_faults<F>(
         &self,
         tasks: &[Task],
@@ -311,19 +474,18 @@ impl SlurmSim {
     where
         F: Fn(RegionId) -> usize,
     {
-        self.run_counting_requeues(tasks, order, db_bound, failures).0
+        self.run_counting(tasks, order, db_bound, failures).0
     }
 
-    /// [`SlurmSim::run_with_faults`], also returning how many requeued
-    /// jobs found their demand class empty: the index's rarest path,
-    /// which the oracle's random inputs must reach.
-    fn run_counting_requeues<F>(
+    /// [`SlurmSim::run_with_faults`], also returning how often the run
+    /// took the rare paths of its queue and completion tree.
+    fn run_counting<F>(
         &self,
         tasks: &[Task],
         order: &[usize],
         db_bound: F,
         failures: &[NodeFailure],
-    ) -> (SlurmStats, usize)
+    ) -> (SlurmStats, RunCounts)
     where
         F: Fn(RegionId) -> usize,
     {
@@ -332,11 +494,13 @@ impl SlurmSim {
         let ticks_per_task = ckpt.ticks_per_task.max(1);
         let mut total_nodes = self.cluster.nodes;
         let mut free_nodes = total_nodes;
-        // (end_time, start_time, task index, planned duration)
-        let mut running: Vec<(f64, f64, usize, f64)> = Vec::new();
-        // Per-region DB headroom: the bound less the region's running jobs.
-        let mut headroom = region_bounds(tasks, db_bound);
-        let mut queue = DemandQueue::new(tasks, order);
+        let mut queue = DemandQueue::new(tasks, order, region_bounds(tasks, db_bound));
+        // Every running job left the queue and holds at least the smallest
+        // demand's nodes.
+        let most_running = queue.demands.first().map_or(0, |&least| {
+            order.len().min(total_nodes.checked_div(least).unwrap_or(usize::MAX))
+        });
+        let mut running = Running::new(most_running);
         let mut start_times: Vec<Option<f64>> = vec![None; tasks.len()];
         let mut now = 0.0f64;
         let mut busy = 0.0f64;
@@ -358,20 +522,17 @@ impl SlurmSim {
             // Dispatch: start the first job within `lookahead` of the
             // queue head that can start now, until none can.
             loop {
-                let scan = queue.len().min(self.lookahead + 1);
+                let scan = queue.keys.len().min(self.lookahead + 1);
                 let pick = queue.pop_first(scan, free_nodes, |ti| {
-                    let t = &tasks[ti];
                     // A job must also be able to finish before the
                     // window closes (Slurm would not start a job whose
                     // time limit exceeds the reservation).
-                    headroom[t.region] > 0
-                        && now + attempt_secs(t, done_ticks[ti], ticks_per_task) <= window
+                    now + attempt_secs(&tasks[ti], done_ticks[ti], ticks_per_task) <= window
                 });
                 let Some(ti) = pick else { break };
                 let t = &tasks[ti];
                 let dur = attempt_secs(t, done_ticks[ti], ticks_per_task);
                 free_nodes -= t.nodes;
-                headroom[t.region] -= 1;
                 running.push((now + dur, now, ti, dur));
                 peak_nodes = peak_nodes.max(total_nodes - free_nodes);
                 start_times[ti] = Some(now);
@@ -380,16 +541,11 @@ impl SlurmSim {
                 }
             }
 
-            if running.is_empty() {
-                break; // nothing running and nothing dispatchable
-            }
             // Next event: earliest completion, unless a node failure
             // fires first.
-            let (idx, &(end, _start, _ti, _dur)) = running
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).expect("NaN end time"))
-                .expect("non-empty running set");
+            let Some((idx, end)) = running.next_end() else {
+                break; // nothing running and nothing dispatchable
+            };
             if next_failure < pending_failures.len()
                 && pending_failures[next_failure].at_secs <= end
             {
@@ -406,6 +562,7 @@ impl SlurmSim {
                     // Kill the most recently started job (ties broken by
                     // task index, for determinism).
                     let (vi, _) = running
+                        .jobs
                         .iter()
                         .enumerate()
                         .max_by(|a, b| {
@@ -417,7 +574,7 @@ impl SlurmSim {
                     let killed_here = t.nodes.min(to_reclaim);
                     to_reclaim -= killed_here;
                     free_nodes += t.nodes - killed_here;
-                    headroom[t.region] += 1;
+                    queue.counts.capped_requeues += usize::from(queue.release(t.region));
                     start_times[ti] = None;
                     let elapsed = now - start;
                     let mut recovered_here = 0.0f64;
@@ -460,15 +617,17 @@ impl SlurmSim {
                 // Requeue preserving original relative order.
                 requeue.sort_unstable();
                 for ti in requeue.into_iter().rev() {
-                    queue.push_front(ti, tasks[ti].nodes);
+                    queue.push_front(ti, &tasks[ti]);
                 }
                 continue;
             }
             let (end, _start, ti, dur) = running.swap_remove(idx);
+            queue.counts.tied_completions +=
+                usize::from(running.next_end().is_some_and(|(_, next)| next == end));
             now = end;
             let t = &tasks[ti];
             free_nodes += t.nodes;
-            headroom[t.region] += 1;
+            queue.release(t.region);
             // `dur` (not end − start) keeps the arithmetic identical to
             // the classic path for never-preempted tasks.
             busy += dur * t.nodes as f64;
@@ -479,7 +638,7 @@ impl SlurmSim {
         let makespan = last_completion;
         let stats = SlurmStats {
             completed,
-            unstarted: queue.len(),
+            unstarted: queue.keys.len(),
             makespan_secs: makespan,
             busy_node_secs: busy,
             peak_nodes,
@@ -495,7 +654,7 @@ impl SlurmSim {
             resumes,
             resume_log,
         };
-        (stats, queue.empty_class_requeues)
+        (stats, queue.counts)
     }
 }
 
@@ -1072,20 +1231,28 @@ mod tests {
 
     /// The oracle's inputs reach the paths that matter: DB caps that
     /// bind, window cut-offs, kills of running jobs under every
-    /// checkpoint mode, and resumes from both kinds of snapshot.
+    /// checkpoint mode, and resumes from both kinds of snapshot; and in
+    /// the queue's lanes and the completion tree, requeues into an empty
+    /// lane and into a region at its DB cap, dropped dead heads, a region
+    /// filed again in two or more classes, and completions chosen among
+    /// equal end times.
     #[test]
     fn slurm_scan_oracle_inputs_cover_kills_resumes_and_cutoffs() {
-        let (mut capped, mut cut_off, mut long_mixed_queue, mut empty_class_requeues) =
-            (0, 0, 0, 0);
+        let (mut capped, mut cut_off, mut long_mixed_queue) = (0, 0, 0);
+        let (mut empty_lane_requeues, mut capped_requeues, mut dead_heads) = (0, 0, 0);
+        let (mut multi_class_rejoins, mut tied_completions) = (0, 0);
         // Per checkpoint mode: off, grace below the write cost, above it.
         let (mut killed, mut resumed) = ([0usize; 3], [0usize; 3]);
         for case in 0..512 {
             let mut rng = proptest::test_rng(file!(), line!(), case);
             let s = scenario().sample(&mut rng);
             let stats = reference_run(&s.sim(), &s.tasks, &s.order, |r| s.bound(r), &s.failures);
-            let (_, empty_requeues) =
-                s.sim().run_counting_requeues(&s.tasks, &s.order, |r| s.bound(r), &s.failures);
-            empty_class_requeues += usize::from(empty_requeues > 0);
+            let (_, counts) = s.sim().run_counting(&s.tasks, &s.order, |r| s.bound(r), &s.failures);
+            empty_lane_requeues += usize::from(counts.empty_lane_requeues > 0);
+            capped_requeues += usize::from(counts.capped_requeues > 0);
+            dead_heads += usize::from(counts.dead_heads > 0);
+            multi_class_rejoins += usize::from(counts.multi_class_rejoins > 0);
+            tied_completions += usize::from(counts.tied_completions > 0);
             let mut demands: Vec<usize> = s.order.iter().map(|&ti| s.tasks[ti].nodes).collect();
             demands.sort_unstable();
             demands.dedup();
@@ -1106,7 +1273,13 @@ mod tests {
         assert!(killed.iter().all(|&k| k > 25), "kills per checkpoint mode: {killed:?}");
         assert!(resumed[1] > 8 && resumed[2] > 8, "resumes per checkpoint mode: {resumed:?}");
         assert!(long_mixed_queue > 150, "queues past the window, mixed demand: {long_mixed_queue}");
-        assert!(empty_class_requeues > 25, "requeues into an empty class: {empty_class_requeues}");
+        // Cases that reach each rare path of the lanes and the completion
+        // tree (125, 137, 196, 416 and 246 of 512 when the floors were set).
+        assert!(empty_lane_requeues > 60, "requeues into an empty lane: {empty_lane_requeues}");
+        assert!(capped_requeues > 50, "requeues into a region at its cap: {capped_requeues}");
+        assert!(dead_heads > 100, "window-dead heads dropped: {dead_heads}");
+        assert!(multi_class_rejoins > 200, "regions back in 2+ classes: {multi_class_rejoins}");
+        assert!(tied_completions > 120, "completions among equal end times: {tied_completions}");
     }
 
     /// The 9,180-task prediction workload packed by FFDT-DC for Bridges,
@@ -1127,6 +1300,18 @@ mod tests {
         let got = sim.run_with_faults(&tasks, &order, |_| 16, &[]);
         assert_eq!(got.completed, tasks.len());
         assert_eq!(got, reference_run(&sim, &tasks, &order, |_| 16, &[]));
+    }
+
+    /// A three-hour window and a bound of 4 per region: many jobs can no
+    /// longer finish once the night is under way, so dispatches drop dead
+    /// lane heads, while their keys still fill the lookahead window.
+    #[test]
+    fn slurm_index_matches_reference_at_paper_scale_with_window_cutoff() {
+        let (tasks, order, mut sim) = paper_scale();
+        sim.cluster.window = Some((0, 3 * 3600));
+        let (got, counts) = sim.run_counting(&tasks, &order, |_| 4, &[]);
+        assert!(got.unstarted > 0 && counts.dead_heads > 0, "{} unstarted", got.unstarted);
+        assert_eq!(got, reference_run(&sim, &tasks, &order, |_| 4, &[]));
     }
 
     #[test]

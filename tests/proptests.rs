@@ -10,9 +10,6 @@ use epiflow::epihiper::interventions::{
 use epiflow::epihiper::partition::partition_network;
 use epiflow::hpcsim::cluster::ClusterSpec;
 use epiflow::hpcsim::cluster::Site;
-use epiflow::hpcsim::coloring::{
-    greedy_relaxed_coloring, validate_relaxed_coloring, ConflictGraph,
-};
 use epiflow::hpcsim::schedule::{pack, PackAlgo};
 use epiflow::hpcsim::slurm::NodeFailure;
 use epiflow::hpcsim::task::Task;
@@ -493,26 +490,6 @@ proptest! {
         prop_assert!((back[0] - 1.0).abs() < 1e-6);
         prop_assert!((back[1] - 2.0).abs() < 1e-6);
         prop_assert!((back[2] - 3.0).abs() < 1e-6);
-    }
-
-    /// Greedy r-relaxed coloring is always valid on region-clique
-    /// conflict graphs, and uses exactly ceil(max clique / (r+1)) colors.
-    #[test]
-    fn relaxed_coloring_valid(
-        regions in prop::collection::vec(0usize..6, 1..60),
-        r in 0usize..4,
-    ) {
-        let g = ConflictGraph::region_cliques(&regions);
-        let order: Vec<u32> = (0..regions.len() as u32).collect();
-        let colors = greedy_relaxed_coloring(&g, &order, r);
-        prop_assert!(validate_relaxed_coloring(&g, &colors, r));
-        let mut clique_sizes = std::collections::HashMap::new();
-        for &reg in &regions {
-            *clique_sizes.entry(reg).or_insert(0usize) += 1;
-        }
-        let expect = clique_sizes.values().map(|&s| s.div_ceil(r + 1)).max().unwrap();
-        let used = *colors.iter().max().unwrap() as usize + 1;
-        prop_assert_eq!(used, expect);
     }
 
     /// Case series: cumulative/daily round trip and smoothing mass
